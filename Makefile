@@ -1,14 +1,21 @@
 GO ?= go
 
-.PHONY: check build vet test race lint fmtcheck bench benchcmp benchall chaos cluster-smoke batch-smoke sample-smoke partition-smoke
+.PHONY: check build vet test race lint fmtcheck bench benchcmp benchall chaos cluster-smoke batch-smoke sample-smoke partition-smoke bench-check
 
 # check gates a change: build + formatting + vet + catchlint + the
 # full test suite under the race detector (this includes
 # internal/telemetry's concurrent counter/histogram/tracer tests and
 # the runner's /metrics tests) + the seeded chaos suite + the
 # cluster determinism smoke + the batch-kernel determinism smoke +
-# the sampling accuracy smoke + the self-healing partition smoke.
-check: build fmtcheck vet lint race chaos cluster-smoke batch-smoke sample-smoke partition-smoke
+# the sampling accuracy smoke + the self-healing partition smoke + the
+# benchmark module's build and tests.
+check: build fmtcheck vet lint race chaos cluster-smoke batch-smoke sample-smoke partition-smoke bench-check
+
+# bench-check builds and tests the benchmark module (perfbench/, its own
+# Go module over the repository's packages), so an API change that
+# breaks the benchmark fails here rather than in a benchmark run.
+bench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # partition-smoke proves the self-healing layer: with -replicas 2,
 # killing any single peer yields a byte-identical sweep with zero
@@ -71,13 +78,13 @@ vet:
 test:
 	$(GO) test ./...
 
-# race runs everything under the race detector; internal/cluster and
-# internal/sample run twice because their interleavings (work stealing,
-# concurrent snapshot-store access) differ run to run.
+# race runs everything under the race detector; internal/cluster,
+# internal/sample and internal/memo run twice because their
+# interleavings (work stealing, concurrent store access, coalesced
+# fills) differ run to run.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=2 ./internal/cluster
-	$(GO) test -race -count=2 ./internal/sample
+	$(GO) test -race -count=2 ./internal/cluster ./internal/sample ./internal/memo
 
 # bench re-records the committed simulator-throughput baseline from the
 # per-metric medians of 5 samples per benchmark.

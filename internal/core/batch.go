@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"catch/internal/config"
-	"catch/internal/interconnect"
-	"catch/internal/memory"
 	"catch/internal/trace"
 )
 
@@ -55,14 +53,9 @@ func RunBatch(m *trace.Materialized, cfgs []config.SystemConfig, insts, warmup i
 	}
 	// Warmup boundary, mirroring RunST: measurement counters reset,
 	// timing and learned state preserved.
-	cycles0 := make([]int64, len(sims))
+	wins := make([]Window, len(sims))
 	for k, s := range sims {
-		c := s.Sims[0]
-		c.resetStats()
-		s.LLC.ResetStats()
-		s.Mem.Stats = memory.Stats{}
-		s.Ring.Stats = interconnect.Stats{}
-		cycles0[k] = c.CPU.Cycles()
+		wins[k] = s.BeginMeasure()
 	}
 	for base := warmup; base < total; base += batchChunk {
 		end := min(base+batchChunk, total)
@@ -71,7 +64,7 @@ func RunBatch(m *trace.Materialized, cfgs []config.SystemConfig, insts, warmup i
 		}
 	}
 	for k, s := range sims {
-		out[k] = s.Sims[0].result(cycles0[k])
+		out[k] = s.EndMeasure(wins[k])
 	}
 	return out, nil
 }

@@ -401,9 +401,7 @@ func (s *System) RunMP(gens []trace.Generator, insts, warmup int64) []Result {
 				// boundary so no core's measurement window includes
 				// another core's warmup traffic (mirrors RunST).
 				if warming--; warming == 0 {
-					s.LLC.ResetStats()
-					s.Mem.Stats = memory.Stats{}
-					s.Ring.Stats = interconnect.Stats{}
+					s.resetSharedStats()
 				}
 			}
 			if st[best].warm && c.CPU.Insts >= insts {

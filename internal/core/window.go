@@ -57,10 +57,16 @@ func (s *System) AttachST(gen trace.Generator) {
 func (s *System) BeginMeasure() Window {
 	c := s.Sims[0]
 	c.resetStats()
+	s.resetSharedStats()
+	return Window{cycles0: c.CPU.Cycles()}
+}
+
+// resetSharedStats zeroes the counters every core shares: the LLC,
+// DRAM and ring.
+func (s *System) resetSharedStats() {
 	s.LLC.ResetStats()
 	s.Mem.Stats = memory.Stats{}
 	s.Ring.Stats = interconnect.Stats{}
-	return Window{cycles0: c.CPU.Cycles()}
 }
 
 // StepST advances core 0 by n instructions of its attached generator.

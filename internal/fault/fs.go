@@ -5,9 +5,10 @@ import (
 	"path/filepath"
 )
 
-// FS is the filesystem surface the result cache depends on. The
-// production implementation is OS; tests and chaos runs substitute
-// InjectFS to make disk failures reachable on demand.
+// FS is the filesystem surface the content-addressed stores' disk
+// layer (memo.Disk) depends on. The production implementation is OS;
+// tests and chaos runs substitute InjectFS to make disk failures
+// reachable on demand.
 type FS interface {
 	ReadFile(name string) ([]byte, error)
 	WriteFile(name string, data []byte, perm os.FileMode) error
@@ -15,8 +16,8 @@ type FS interface {
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
 	// ReadDir lists the file names in dir (sorted, as os.ReadDir
-	// guarantees). The result cache uses it to manifest its on-disk
-	// keys for anti-entropy repair.
+	// guarantees). memo.Disk.List uses it to manifest a store's
+	// on-disk keys for anti-entropy repair.
 	ReadDir(dir string) ([]string, error)
 }
 

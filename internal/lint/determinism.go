@@ -49,6 +49,7 @@ func DefaultDeterminismConfig() DeterminismConfig {
 			"catch/internal/experiments",
 			"catch/internal/fault",
 			"catch/internal/interconnect",
+			"catch/internal/memo",
 			"catch/internal/memory",
 			"catch/internal/power",
 			"catch/internal/prefetch",

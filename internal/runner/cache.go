@@ -2,17 +2,13 @@ package runner
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
-	"path/filepath"
 	"regexp"
-	"sort"
-	"strings"
-	"sync"
+	"slices"
 
 	"catch/internal/core"
 	"catch/internal/fault"
+	"catch/internal/memo"
 	"catch/internal/stats"
 )
 
@@ -51,27 +47,15 @@ type CacheOptions struct {
 // concurrent requests for one key are coalesced onto a single
 // computation.
 type Cache struct {
-	dir     string
-	fs      fault.FS
+	mem     memo.Group[string, []core.Result]
+	disk    *memo.Disk
 	breaker *fault.Breaker
 
-	mu       sync.Mutex
-	mem      map[string][]core.Result
-	inflight map[string]*flight
-
-	hits        stats.AtomicCounter
-	misses      stats.AtomicCounter
-	coalesced   stats.AtomicCounter
-	diskHits    stats.AtomicCounter
-	badDisk     stats.AtomicCounter
-	diskErrs    stats.AtomicCounter
-	quarantined stats.AtomicCounter
-}
-
-type flight struct {
-	done chan struct{}
-	res  []core.Result
-	err  error
+	hits      stats.AtomicCounter
+	misses    stats.AtomicCounter
+	coalesced stats.AtomicCounter
+	diskHits  stats.AtomicCounter
+	badDisk   stats.AtomicCounter
 }
 
 // NewCache builds a cache. dir may be empty for a memory-only cache;
@@ -82,16 +66,7 @@ func NewCache(dir string) *Cache {
 
 // NewCacheOpts builds a cache with an explicit filesystem and breaker.
 func NewCacheOpts(o CacheOptions) *Cache {
-	if o.FS == nil {
-		o.FS = fault.OS{}
-	}
-	return &Cache{
-		dir:      o.Dir,
-		fs:       o.FS,
-		breaker:  o.Breaker,
-		mem:      make(map[string][]core.Result),
-		inflight: make(map[string]*flight),
-	}
+	return &Cache{disk: memo.NewDisk(o.Dir, o.FS, o.Breaker), breaker: o.Breaker}
 }
 
 // Breaker returns the disk-layer breaker (nil when unguarded).
@@ -105,8 +80,8 @@ func (c *Cache) Stats() CacheStats {
 		Coalesced:   c.coalesced.Value(),
 		DiskHits:    c.diskHits.Value(),
 		BadDisk:     c.badDisk.Value(),
-		DiskErrs:    c.diskErrs.Value(),
-		Quarantined: c.quarantined.Value(),
+		DiskErrs:    c.disk.Errs(),
+		Quarantined: c.disk.Quarantined(),
 	}
 }
 
@@ -126,9 +101,7 @@ func (c *Cache) Get(key string) ([]core.Result, bool) {
 		return rs, true
 	}
 	if rs, ok := c.GetDisk(key); ok {
-		c.mu.Lock()
-		c.mem[key] = rs
-		c.mu.Unlock()
+		c.mem.Set(key, rs)
 		return rs, true
 	}
 	return nil, false
@@ -148,9 +121,7 @@ func (c *Cache) GetCounted(key string) ([]core.Result, bool) {
 	if rs, ok := c.GetDisk(key); ok {
 		c.hits.Inc()
 		c.diskHits.Inc()
-		c.mu.Lock()
-		c.mem[key] = rs
-		c.mu.Unlock()
+		c.mem.Set(key, rs)
 		return rs, true
 	}
 	c.misses.Inc()
@@ -160,9 +131,7 @@ func (c *Cache) GetCounted(key string) ([]core.Result, bool) {
 // GetMem returns the in-memory entry for key only, never touching the
 // disk layer. It is the top tier of the cluster's tiered read path.
 func (c *Cache) GetMem(key string) ([]core.Result, bool) {
-	c.mu.Lock()
-	rs, ok := c.mem[key]
-	c.mu.Unlock()
+	rs, ok := c.mem.Peek(key)
 	if !ok || len(rs) == 0 {
 		return nil, false
 	}
@@ -171,10 +140,24 @@ func (c *Cache) GetMem(key string) ([]core.Result, bool) {
 
 // GetDisk reads the on-disk entry for key only, without populating the
 // memory layer (tier promotion is the caller's decision). Disk health
-// feeds the cache's breaker exactly as in the combined path.
+// feeds the cache's breaker exactly as in the combined path. A corrupt
+// entry is quarantined — renamed to *.corrupt on first detection so it
+// is kept for inspection but never re-read — and treated as a miss,
+// never a failure: the job simply recomputes and persists a fresh
+// entry.
 func (c *Cache) GetDisk(key string) ([]core.Result, bool) {
-	rs, ok := c.loadDisk(key)
-	if !ok || len(rs) == 0 {
+	if !ValidKey(key) {
+		return nil, false
+	}
+	name := fileName(key)
+	raw, ok := c.disk.Read(name)
+	if !ok {
+		return nil, false
+	}
+	var rs []core.Result
+	if err := json.Unmarshal(raw, &rs); err != nil || len(rs) == 0 {
+		c.badDisk.Inc()
+		c.disk.Quarantine(name)
 		return nil, false
 	}
 	return rs, true
@@ -194,9 +177,7 @@ func (c *Cache) PutMem(key string, rs []core.Result) {
 	if len(rs) == 0 || !ValidKey(key) {
 		return
 	}
-	c.mu.Lock()
-	c.mem[key] = rs
-	c.mu.Unlock()
+	c.mem.Set(key, rs)
 }
 
 // PutDisk persists to the disk layer only (tier promotion; breaker
@@ -205,47 +186,25 @@ func (c *Cache) PutDisk(key string, rs []core.Result) {
 	if len(rs) == 0 || !ValidKey(key) {
 		return
 	}
-	c.storeDisk(key, rs)
+	c.disk.Write(fileName(key), func() ([]byte, error) { return json.Marshal(rs) })
 }
 
 // Keys manifests every key this cache holds — the union of the memory
 // layer and the on-disk entries — sorted, so two nodes can diff their
-// manifests deterministically during anti-entropy repair. Disk health
-// feeds the breaker exactly as reads do; with the breaker open (or on
-// a listing error) the manifest degrades to the memory layer alone,
-// which only makes repair conservative, never wrong: a key missing
-// from a manifest is re-filled, and fills are idempotent under content
-// addressing.
+// manifests deterministically during anti-entropy repair. With the
+// breaker open (or on a listing error) the manifest degrades to the
+// memory layer alone, which only makes repair conservative, never
+// wrong: a key missing from a manifest is re-filled, and fills are
+// idempotent under content addressing.
 func (c *Cache) Keys() []string {
-	seen := make(map[string]bool)
-	c.mu.Lock()
-	for k := range c.mem {
-		seen[k] = true
-	}
-	c.mu.Unlock()
-	if c.dir != "" && c.breaker.Allow() {
-		names, err := c.fs.ReadDir(c.dir)
-		if err != nil {
-			if !errors.Is(err, fs.ErrNotExist) {
-				c.diskErrs.Inc()
-				c.breaker.Failure()
-			}
-		} else {
-			c.breaker.Success()
-			for _, name := range names {
-				key, isEntry := strings.CutSuffix(name, ".json")
-				if isEntry && ValidKey(key) {
-					seen[key] = true
-				}
-			}
+	keys := c.mem.Keys()
+	for _, key := range c.disk.List(".json") {
+		if ValidKey(key) {
+			keys = append(keys, key)
 		}
 	}
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	slices.Sort(keys)
+	return slices.Compact(keys)
 }
 
 // Do returns the results for key, computing them at most once across
@@ -253,48 +212,26 @@ func (c *Cache) Keys() []string {
 // the cache (or from another caller's in-flight computation) rather
 // than from this caller's compute. Errors are not cached.
 func (c *Cache) Do(key string, compute func() ([]core.Result, error)) (rs []core.Result, cached bool, err error) {
-	c.mu.Lock()
-	if rs, ok := c.mem[key]; ok {
-		c.mu.Unlock()
+	computed := false
+	rs, out, err := c.mem.Do(key, func() ([]core.Result, error) {
+		if rs, ok := c.GetDisk(key); ok {
+			c.hits.Inc()
+			c.diskHits.Inc()
+			return rs, nil
+		}
+		c.misses.Inc()
+		computed = true
+		return compute()
+	})
+	switch {
+	case out == memo.Hit:
 		c.hits.Inc()
-		return rs, true, nil
-	}
-	if f, ok := c.inflight[key]; ok {
-		c.mu.Unlock()
+	case out == memo.Coalesced:
 		c.coalesced.Inc()
-		<-f.done
-		return f.res, true, f.err
+	case computed && err == nil:
+		c.PutDisk(key, rs)
 	}
-	f := &flight{done: make(chan struct{})}
-	c.inflight[key] = f
-	c.mu.Unlock()
-
-	if rs, ok := c.loadDisk(key); ok {
-		c.hits.Inc()
-		c.diskHits.Inc()
-		c.settle(key, f, rs, nil)
-		return rs, true, nil
-	}
-
-	c.misses.Inc()
-	rs, err = compute()
-	c.settle(key, f, rs, err)
-	if err == nil {
-		c.storeDisk(key, rs)
-	}
-	return rs, false, err
-}
-
-// settle publishes a flight's outcome and caches successes in memory.
-func (c *Cache) settle(key string, f *flight, rs []core.Result, err error) {
-	f.res, f.err = rs, err
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if err == nil {
-		c.mem[key] = rs
-	}
-	c.mu.Unlock()
-	close(f.done)
+	return rs, !computed, err
 }
 
 var keyPattern = regexp.MustCompile(`^[0-9a-f]{16,64}$`)
@@ -305,94 +242,10 @@ var keyPattern = regexp.MustCompile(`^[0-9a-f]{16,64}$`)
 // or a 500.
 func ValidKey(key string) bool { return keyPattern.MatchString(key) }
 
-// path maps a key to its on-disk file, rejecting anything that is not
-// a plain hex key (the HTTP layer passes client-supplied keys through).
-func (c *Cache) path(key string) (string, bool) {
-	if c.dir == "" || !keyPattern.MatchString(key) {
-		return "", false
-	}
-	return filepath.Join(c.dir, key+".json"), true
-}
-
-// loadDisk reads one entry. Disk health feeds the breaker: a missing
-// file is a healthy miss, a real I/O error a failure, and when the
-// breaker is open the disk is not touched at all (memory-only mode). A
-// corrupt entry is quarantined — renamed to *.corrupt on first
-// detection so it is kept for inspection but never re-read — and
-// treated as a miss, never a failure: the job simply recomputes and
-// persists a fresh entry.
-func (c *Cache) loadDisk(key string) ([]core.Result, bool) {
-	p, ok := c.path(key)
-	if !ok {
-		return nil, false
-	}
-	if !c.breaker.Allow() {
-		return nil, false
-	}
-	raw, err := c.fs.ReadFile(p)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			c.breaker.Success()
-			return nil, false
-		}
-		c.diskErrs.Inc()
-		c.breaker.Failure()
-		return nil, false
-	}
-	c.breaker.Success()
-	var rs []core.Result
-	if err := json.Unmarshal(raw, &rs); err != nil || len(rs) == 0 {
-		c.badDisk.Inc()
-		c.quarantine(p)
-		return nil, false
-	}
-	return rs, true
-}
-
-// quarantine renames a corrupt entry aside, best-effort.
-func (c *Cache) quarantine(p string) {
-	if err := c.fs.Rename(p, p+".corrupt"); err == nil {
-		c.quarantined.Inc()
-	}
-}
-
-// storeDisk persists an entry via temp-file rename so readers never
-// observe a half-written file. Persistence failures only feed the
-// breaker, never the caller: the disk layer is an optimization, not a
-// correctness need.
-func (c *Cache) storeDisk(key string, rs []core.Result) {
-	p, ok := c.path(key)
-	if !ok {
-		return
-	}
-	if !c.breaker.Allow() {
-		return
-	}
-	if err := c.fs.MkdirAll(c.dir, 0o755); err != nil {
-		c.diskErrs.Inc()
-		c.breaker.Failure()
-		return
-	}
-	raw, err := json.Marshal(rs)
-	if err != nil {
-		return
-	}
-	// The tmp name is deterministic per key: concurrent writers of one
-	// key are already singleflighted, and the final rename is atomic.
-	tmp := p + ".tmp"
-	if err := c.fs.WriteFile(tmp, raw, 0o644); err != nil {
-		c.diskErrs.Inc()
-		c.breaker.Failure()
-		return
-	}
-	if err := c.fs.Rename(tmp, p); err != nil {
-		c.diskErrs.Inc()
-		c.breaker.Failure()
-		_ = c.fs.Remove(tmp) // best-effort cleanup of the temp file
-		return
-	}
-	c.breaker.Success()
-}
+// fileName maps a valid key to its on-disk entry. Callers check
+// ValidKey first: the HTTP layer passes client-supplied keys through,
+// and only a plain hex key may name a file.
+func fileName(key string) string { return key + ".json" }
 
 // String renders the counters for human-readable summaries.
 func (s CacheStats) String() string {

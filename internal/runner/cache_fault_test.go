@@ -48,7 +48,8 @@ func TestBreakerTripsToMemoryOnlyAndRecovers(t *testing.T) {
 		fault.DiskWrite: {Prob: 1, Times: 3}, // writes too, else stores reset the failure streak
 	}})
 	br := fault.NewBreaker(3, 8)
-	c := NewCacheOpts(CacheOptions{Dir: dir, FS: fault.InjectFS{FS: fault.OS{}, Inj: inj}, Breaker: br})
+	opts := CacheOptions{Dir: dir, FS: fault.InjectFS{FS: fault.OS{}, Inj: inj}, Breaker: br}
+	c := NewCacheOpts(opts)
 
 	keys := make([]string, 3)
 	for i := range keys {
@@ -83,12 +84,12 @@ func TestBreakerTripsToMemoryOnlyAndRecovers(t *testing.T) {
 
 	// The injected faults have a budget of 3 per site, already spent on
 	// the first key's retries... drive denials until the half-open probe
-	// goes through against the healed disk and closes the circuit.
+	// goes through against the healed disk and closes the circuit. Each
+	// round uses a fresh cache over the same directory, filesystem and
+	// breaker: its memory layer is empty, so every Do goes back to the
+	// disk layer.
 	for i := 0; br.State() != fault.StateClosed && i < 100; i++ {
-		c.Do(keys[0], func() ([]core.Result, error) { return oneResult("computed"), nil })
-		c.mu.Lock()
-		delete(c.mem, keys[0]) // force the next Do back to the disk layer
-		c.mu.Unlock()
+		NewCacheOpts(opts).Do(keys[0], func() ([]core.Result, error) { return oneResult("computed"), nil })
 	}
 	if br.State() != fault.StateClosed {
 		t.Fatalf("breaker never recovered: %v (trips %d)", br.State(), br.Trips())

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -238,12 +239,26 @@ func TestCacheKeys(t *testing.T) {
 	}
 }
 
+// TestCacheRejectsPathTraversalKeys: a key that is not a plain hex
+// digest never names a file — nothing is written anywhere under the
+// cache directory's parent, and the disk layer reports a miss.
 func TestCacheRejectsPathTraversalKeys(t *testing.T) {
-	c := NewCache(t.TempDir())
+	root := t.TempDir()
+	c := NewCache(filepath.Join(root, "cache"))
 	for _, key := range []string{"../evil", "a/b", "UPPER", "short"} {
-		if _, ok := c.path(key); ok {
-			t.Fatalf("key %q mapped to a disk path", key)
+		c.PutDisk(key, oneResult("x"))
+		if _, ok := c.GetDisk(key); ok {
+			t.Fatalf("key %q served from disk", key)
 		}
+	}
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			t.Errorf("key mapped to a disk file: %s", p)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -3,10 +3,10 @@ package sample
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"catch/internal/config"
 	"catch/internal/core"
+	"catch/internal/memo"
 	"catch/internal/stats"
 	"catch/internal/trace"
 )
@@ -52,12 +52,6 @@ type profileKey struct {
 	Interval int64
 }
 
-type profileFlight struct {
-	ch   chan struct{}
-	prof *Profile
-	err  error
-}
-
 // PlannerStats counts planner activity.
 type PlannerStats struct {
 	Profiled         uint64 `json:"profiled"`
@@ -72,12 +66,9 @@ type PlannerStats struct {
 // only the representative intervals and extrapolate. Safe for
 // concurrent use by the engine's workers.
 type Planner struct {
-	traces *trace.Store
-	snaps  *Store
-
-	mu       sync.Mutex
-	profiles map[profileKey]*Profile
-	inflight map[profileKey]*profileFlight
+	traces   *trace.Store
+	snaps    *Store
+	profiles memo.Group[profileKey, *Profile]
 
 	profiled         stats.AtomicCounter
 	profileHits      stats.AtomicCounter
@@ -94,12 +85,7 @@ func NewPlanner(traces *trace.Store, snaps *Store) *Planner {
 	if snaps == nil {
 		snaps = NewStore("")
 	}
-	return &Planner{
-		traces:   traces,
-		snaps:    snaps,
-		profiles: make(map[profileKey]*Profile),
-		inflight: make(map[profileKey]*profileFlight),
-	}
+	return &Planner{traces: traces, snaps: snaps}
 }
 
 // Stats snapshots the counters.
@@ -185,33 +171,18 @@ func (p *Planner) Run(cfg config.SystemConfig, w *trace.Workload, insts, warmup 
 // once across all concurrent callers.
 func (p *Planner) profile(m *trace.Materialized, insts, warmup, interval int64) (*Profile, error) {
 	key := profileKey{Name: m.Name(), Seed: m.Seed(), Insts: insts, Warmup: warmup, Interval: interval}
-	p.mu.Lock()
-	if prof := p.profiles[key]; prof != nil {
-		p.mu.Unlock()
+	prof, out, err := p.profiles.Do(key, func() (*Profile, error) {
+		prof, err := ProfileWorkload(m, insts, warmup, interval)
+		if err == nil {
+			p.profiled.Inc()
+		}
+		return prof, err
+	})
+	switch out {
+	case memo.Hit:
 		p.profileHits.Inc()
-		return prof, nil
-	}
-	if f := p.inflight[key]; f != nil {
-		p.mu.Unlock()
+	case memo.Coalesced:
 		p.profileCoalesced.Inc()
-		<-f.ch
-		return f.prof, f.err
 	}
-	f := &profileFlight{ch: make(chan struct{})}
-	p.inflight[key] = f
-	p.mu.Unlock()
-
-	prof, err := ProfileWorkload(m, insts, warmup, interval)
-	if err == nil {
-		p.profiled.Inc()
-	}
-	p.mu.Lock()
-	delete(p.inflight, key)
-	if err == nil {
-		p.profiles[key] = prof
-	}
-	p.mu.Unlock()
-	f.prof, f.err = prof, err
-	close(f.ch)
 	return prof, err
 }

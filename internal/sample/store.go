@@ -12,12 +12,10 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sync"
 
 	"catch/internal/config"
 	"catch/internal/core"
+	"catch/internal/memo"
 	"catch/internal/snap"
 	"catch/internal/stats"
 	"catch/internal/trace"
@@ -46,18 +44,15 @@ type StoreStats struct {
 }
 
 // Store is a content-addressed memo of warm-state snapshots, built on
-// the same pattern as trace.Store: each key is warmed at most once per
+// the same pieces as trace.Store: each key is warmed at most once per
 // process (concurrent requests coalesce onto a single warmup), and with
 // a directory configured images persist as flat binary files so later
 // processes skip the warmup simulation entirely. The disk layer is an
-// optimization: every I/O failure silently degrades to warming in
-// memory, and any corrupt file is deleted and regenerated.
+// optimization: every I/O failure degrades to warming in memory, and a
+// corrupt file is quarantined and regenerated.
 type Store struct {
-	dir string
-
-	mu       sync.Mutex
-	done     map[warmKey][]byte
-	inflight map[warmKey]*warmFlight
+	mem  memo.Group[warmKey, []byte]
+	disk *memo.Disk
 
 	built     stats.AtomicCounter
 	memHits   stats.AtomicCounter
@@ -66,20 +61,10 @@ type Store struct {
 	badDisk   stats.AtomicCounter
 }
 
-type warmFlight struct {
-	ch  chan struct{}
-	img []byte
-	err error
-}
-
 // NewStore builds a snapshot store. dir may be empty for a memory-only
 // store; otherwise it is created on first persist.
 func NewStore(dir string) *Store {
-	return &Store{
-		dir:      dir,
-		done:     make(map[warmKey][]byte),
-		inflight: make(map[warmKey]*warmFlight),
-	}
+	return &Store{disk: memo.NewDisk(dir, nil, nil)}
 }
 
 // Stats snapshots the counters.
@@ -107,40 +92,29 @@ func (s *Store) Warm(cfg config.SystemConfig, w *trace.Workload, m *trace.Materi
 		return nil, err
 	}
 	key := warmKey{Fingerprint: fp, Name: w.WName, Seed: w.Seed, Warmup: warmup}
-	s.mu.Lock()
-	if img := s.done[key]; img != nil {
-		s.mu.Unlock()
+	img, out, err := s.mem.Do(key, func() ([]byte, error) { return s.warm(cfg, m, key) })
+	switch out {
+	case memo.Hit:
 		s.memHits.Inc()
-		return img, nil
-	}
-	if f := s.inflight[key]; f != nil {
-		s.mu.Unlock()
+	case memo.Coalesced:
 		s.coalesced.Inc()
-		<-f.ch
-		return f.img, f.err
 	}
-	f := &warmFlight{ch: make(chan struct{})}
-	s.inflight[key] = f
-	s.mu.Unlock()
-
-	img, err := s.warm(cfg, m, key)
-	s.mu.Lock()
-	delete(s.inflight, key)
-	if err == nil {
-		s.done[key] = img
-	}
-	s.mu.Unlock()
-	f.img, f.err = img, err
-	close(f.ch)
 	return img, err
 }
 
 // warm loads key from disk or runs the warmup fresh (persisting the
 // image, best-effort, when a directory is configured).
 func (s *Store) warm(cfg config.SystemConfig, m *trace.Materialized, key warmKey) ([]byte, error) {
-	if img, ok := s.loadDisk(key); ok {
-		s.diskHits.Inc()
-		return img, nil
+	name, persist := fileName(key)
+	if persist {
+		if raw, ok := s.disk.Read(name); ok {
+			if img, err := decodeWarm(key, raw); err == nil {
+				s.diskHits.Inc()
+				return img, nil
+			}
+			s.badDisk.Inc()
+			s.disk.Quarantine(name)
+		}
 	}
 	sys := core.NewSystem(cfg)
 	sys.WarmupST(m.NewReplay(), key.Warmup)
@@ -149,7 +123,9 @@ func (s *Store) warm(cfg config.SystemConfig, m *trace.Materialized, key warmKey
 		return nil, fmt.Errorf("sample: snapshot after warmup: %w", err)
 	}
 	s.built.Inc()
-	s.storeDisk(key, img)
+	if persist {
+		s.disk.Write(name, func() ([]byte, error) { return encodeWarm(key, img), nil })
+	}
 	return img, nil
 }
 
@@ -166,59 +142,19 @@ func (s *Store) warm(cfg config.SystemConfig, m *trace.Materialized, key warmKey
 //	check   8B  FNV-1a over everything before this field
 const snapMagic = "CATCHSP1"
 
-// path maps a key to its on-disk file: a content address over the key
-// itself, so the filename needs no escaping and collisions would need a
-// SHA-256 collision.
+// fileName maps a key to its on-disk file: a content address over the
+// key itself, so the name needs no escaping and collisions would need a
+// SHA-256 collision. Keys whose name the header cannot hold are never
+// persisted.
 //
 //catch:keyfn
-func (s *Store) path(key warmKey) (string, bool) {
-	if s.dir == "" || len(key.Name) > 1<<16-1 {
+func fileName(key warmKey) (string, bool) {
+	if len(key.Name) > 1<<16-1 {
 		return "", false
 	}
 	sum := sha256.Sum256([]byte(fmt.Sprintf("%s\x00%d\x00%d\x00%d",
 		key.Name, key.Seed, key.Warmup, key.Fingerprint)))
-	return filepath.Join(s.dir, hex.EncodeToString(sum[:])+".warm"), true
-}
-
-// loadDisk reads a persisted image. Any mismatch or corruption removes
-// the file and reports a miss, so the caller re-warms and overwrites it
-// with a fresh copy.
-func (s *Store) loadDisk(key warmKey) ([]byte, bool) {
-	p, ok := s.path(key)
-	if !ok {
-		return nil, false
-	}
-	raw, err := os.ReadFile(p)
-	if err != nil {
-		return nil, false
-	}
-	img, err := decodeWarm(key, raw)
-	if err != nil {
-		s.badDisk.Inc()
-		_ = os.Remove(p) // superseded by the fresh warmup below
-		return nil, false
-	}
-	return img, true
-}
-
-// storeDisk persists an image via temp-file rename so readers never
-// observe a half-written file. Failures are silent: the disk layer is
-// an optimization, the in-memory image is the data.
-func (s *Store) storeDisk(key warmKey, img []byte) {
-	p, ok := s.path(key)
-	if !ok {
-		return
-	}
-	if err := os.MkdirAll(s.dir, 0o755); err != nil {
-		return
-	}
-	tmp := p + ".tmp"
-	if err := os.WriteFile(tmp, encodeWarm(key, img), 0o644); err != nil {
-		return
-	}
-	if err := os.Rename(tmp, p); err != nil {
-		_ = os.Remove(tmp) // best-effort cleanup of the temp file
-	}
+	return hex.EncodeToString(sum[:]) + ".warm", true
 }
 
 // encodeWarm renders the image in the flat binary layout.

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"catch/internal/config"
-	"catch/internal/core"
 	"catch/internal/trace"
 )
 
@@ -72,30 +71,33 @@ func TestStorePersistRoundTrip(t *testing.T) {
 	}
 }
 
+// corruptions are the damaged-file shapes the store must detect; the
+// decoder's fuzz target seeds from them too.
+var corruptions = []struct {
+	name string
+	mut  func([]byte) []byte
+}{
+	{"truncated", func(b []byte) []byte { return b[:len(b)/2] }},
+	{"bitflip", func(b []byte) []byte {
+		c := append([]byte(nil), b...)
+		c[len(c)/3] ^= 0x10
+		return c
+	}},
+	{"bad magic", func(b []byte) []byte {
+		c := append([]byte(nil), b...)
+		c[0] ^= 0xFF
+		return c
+	}},
+	{"empty", func(b []byte) []byte { return nil }},
+}
+
 // TestStoreCorruptionRegenerates mirrors the trace store's corruption
-// tests: a truncated or bit-flipped snapshot file is detected, deleted
-// and regenerated with the correct contents.
+// tests: a truncated or bit-flipped snapshot file is detected,
+// quarantined to *.corrupt and regenerated with the correct contents.
 func TestStoreCorruptionRegenerates(t *testing.T) {
 	const warmup = 1_000
 	cfg, w, m := warmInputs(t, warmup)
 
-	corruptions := []struct {
-		name string
-		mut  func([]byte) []byte
-	}{
-		{"truncated", func(b []byte) []byte { return b[:len(b)/2] }},
-		{"bitflip", func(b []byte) []byte {
-			c := append([]byte(nil), b...)
-			c[len(c)/3] ^= 0x10
-			return c
-		}},
-		{"bad magic", func(b []byte) []byte {
-			c := append([]byte(nil), b...)
-			c[0] ^= 0xFF
-			return c
-		}},
-		{"empty", func(b []byte) []byte { return nil }},
-	}
 	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -127,6 +129,9 @@ func TestStoreCorruptionRegenerates(t *testing.T) {
 			if st.BadDisk != 1 || st.Built != 1 || st.DiskHits != 0 {
 				t.Errorf("stats = %+v, want the corrupt file detected and a fresh build", st)
 			}
+			if _, err := os.Stat(files[0] + ".corrupt"); err != nil {
+				t.Errorf("damaged file not quarantined: %v", err)
+			}
 			// The regenerated file is valid for the next process.
 			if st := NewStore(dir); true {
 				if _, err := st.Warm(cfg, w, m, warmup); err != nil {
@@ -146,39 +151,34 @@ func TestStoreCorruptionRegenerates(t *testing.T) {
 func TestStoreKeyMismatchRejected(t *testing.T) {
 	const warmup = 1_000
 	cfg, w, m := warmInputs(t, 2*warmup)
-	dir := t.TempDir()
-	s := NewStore(dir)
-	if _, err := s.Warm(cfg, w, m, warmup); err != nil {
+	// Persist each key's image in a directory of its own to learn both
+	// file names, then plant the short warmup's image under the long
+	// warmup's name.
+	short, long := t.TempDir(), t.TempDir()
+	if _, err := NewStore(short).Warm(cfg, w, m, warmup); err != nil {
 		t.Fatalf("warm: %v", err)
 	}
-	files := snapFiles(t, dir)
-	other := NewStore(dir)
-	p, ok := other.path(warmKey{Fingerprint: mustFingerprint(t, &cfg), Name: w.WName, Seed: w.Seed, Warmup: 2 * warmup})
-	if !ok {
-		t.Fatal("no path for key")
+	if _, err := NewStore(long).Warm(cfg, w, m, 2*warmup); err != nil {
+		t.Fatalf("warm: %v", err)
 	}
-	raw, err := os.ReadFile(files[0])
+	src, dst := snapFiles(t, short), snapFiles(t, long)
+	if len(src) != 1 || len(dst) != 1 {
+		t.Fatalf("snapshot files = %v, %v, want one each", src, dst)
+	}
+	raw, err := os.ReadFile(src[0])
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	if err := os.WriteFile(p, raw, 0o644); err != nil {
+	if err := os.WriteFile(dst[0], raw, 0o644); err != nil {
 		t.Fatalf("plant: %v", err)
 	}
+	other := NewStore(long)
 	if _, err := other.Warm(cfg, w, m, 2*warmup); err != nil {
 		t.Fatalf("warm: %v", err)
 	}
 	if st := other.Stats(); st.BadDisk != 1 || st.Built != 1 {
 		t.Errorf("stats = %+v, want the planted file rejected and a fresh build", st)
 	}
-}
-
-func mustFingerprint(t *testing.T, cfg *config.SystemConfig) uint64 {
-	t.Helper()
-	fp, err := core.ConfigFingerprint(cfg)
-	if err != nil {
-		t.Fatalf("fingerprint: %v", err)
-	}
-	return fp
 }
 
 // TestStoreConcurrent hammers one store from many goroutines across a

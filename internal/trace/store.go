@@ -5,10 +5,9 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sync"
 
+	"catch/internal/memo"
+	"catch/internal/snap"
 	"catch/internal/stats"
 )
 
@@ -38,14 +37,11 @@ type StoreStats struct {
 // and every replayer then shares the one in-memory copy. With a
 // directory configured, recordings also persist as flat binary files
 // so later processes skip the kernel scheduling entirely. The disk
-// layer is an optimization: every I/O failure silently degrades to
-// recording in memory.
+// layer is an optimization: every I/O failure degrades to recording in
+// memory, and a corrupt file is quarantined and re-recorded.
 type Store struct {
-	dir string
-
-	mu       sync.Mutex
-	done     map[TraceKey]*Materialized
-	inflight map[TraceKey]*traceFlight
+	mem  memo.Group[TraceKey, *Materialized]
+	disk *memo.Disk
 
 	recorded  stats.AtomicCounter
 	memHits   stats.AtomicCounter
@@ -54,20 +50,10 @@ type Store struct {
 	badDisk   stats.AtomicCounter
 }
 
-type traceFlight struct {
-	ch  chan struct{}
-	m   *Materialized
-	err error
-}
-
 // NewStore builds a trace store. dir may be empty for a memory-only
 // store; otherwise it is created on first persist.
 func NewStore(dir string) *Store {
-	return &Store{
-		dir:      dir,
-		done:     make(map[TraceKey]*Materialized),
-		inflight: make(map[TraceKey]*traceFlight),
-	}
+	return &Store{disk: memo.NewDisk(dir, nil, nil)}
 }
 
 // Stats snapshots the counters.
@@ -90,40 +76,33 @@ func (s *Store) Materialize(w *Workload, total int64) (*Materialized, error) {
 		return nil, fmt.Errorf("trace: materialize length must be positive, got %d", total)
 	}
 	key := TraceKey{Name: w.WName, Seed: w.Seed, Insts: total}
-	s.mu.Lock()
-	if m := s.done[key]; m != nil {
-		s.mu.Unlock()
+	m, out, err := s.mem.Do(key, func() (*Materialized, error) { return s.materialize(w, key) })
+	switch out {
+	case memo.Hit:
 		s.memHits.Inc()
-		return m, nil
-	}
-	if f := s.inflight[key]; f != nil {
-		s.mu.Unlock()
+	case memo.Coalesced:
 		s.coalesced.Inc()
-		<-f.ch
-		return f.m, f.err
 	}
-	f := &traceFlight{ch: make(chan struct{})}
-	s.inflight[key] = f
-	s.mu.Unlock()
-
-	m, err := s.materialize(w, key)
-	s.mu.Lock()
-	delete(s.inflight, key)
-	if err == nil {
-		s.done[key] = m
-	}
-	s.mu.Unlock()
-	f.m, f.err = m, err
-	close(f.ch)
 	return m, err
 }
 
 // materialize loads key from disk or records it fresh (persisting the
 // recording, best-effort, when a directory is configured).
 func (s *Store) materialize(w *Workload, key TraceKey) (*Materialized, error) {
-	if m, ok := s.loadDisk(w, key); ok {
-		s.diskHits.Inc()
-		return m, nil
+	name, persist := fileName(key)
+	if persist {
+		if raw, ok := s.disk.Read(name); ok {
+			if insts, err := decodeTrace(key, raw); err == nil {
+				s.diskHits.Inc()
+				// A fresh generator (built, never stepped) supplies the
+				// ValueAt and prewarm state the file cannot carry: both
+				// are deterministic functions of the workload's build,
+				// not of emission progress.
+				return newMaterialized(w, w.NewGen(), insts), nil
+			}
+			s.badDisk.Inc()
+			s.disk.Quarantine(name)
+		}
 	}
 	g := w.NewGen()
 	insts := make([]Inst, key.Insts)
@@ -134,7 +113,9 @@ func (s *Store) materialize(w *Workload, key TraceKey) (*Materialized, error) {
 		}
 	}
 	s.recorded.Inc()
-	s.storeDisk(key, insts)
+	if persist {
+		s.disk.Write(name, func() ([]byte, error) { return encodeTrace(key, insts), nil })
+	}
 	return newMaterialized(w, g, insts), nil
 }
 
@@ -265,61 +246,18 @@ const (
 	recordBytes = 32
 )
 
-// path maps a key to its on-disk file: a content address over the key
-// itself, so the filename needs no escaping and collisions would need a
-// SHA-256 collision.
+// fileName maps a key to its on-disk file: a content address over the
+// key itself, so the name needs no escaping and collisions would need a
+// SHA-256 collision. Keys whose name the header cannot hold are never
+// persisted.
 //
 //catch:keyfn
-func (s *Store) path(key TraceKey) (string, bool) {
-	if s.dir == "" || len(key.Name) > 1<<16-1 {
+func fileName(key TraceKey) (string, bool) {
+	if len(key.Name) > 1<<16-1 {
 		return "", false
 	}
 	sum := sha256.Sum256([]byte(fmt.Sprintf("%s\x00%d\x00%d", key.Name, key.Seed, key.Insts)))
-	return filepath.Join(s.dir, hex.EncodeToString(sum[:])+".trace"), true
-}
-
-// loadDisk reads a persisted recording. Any mismatch or corruption
-// removes the file and reports a miss, so the caller re-records and
-// overwrites it with a fresh copy.
-func (s *Store) loadDisk(w *Workload, key TraceKey) (*Materialized, bool) {
-	p, ok := s.path(key)
-	if !ok {
-		return nil, false
-	}
-	raw, err := os.ReadFile(p)
-	if err != nil {
-		return nil, false
-	}
-	insts, err := decodeTrace(key, raw)
-	if err != nil {
-		s.badDisk.Inc()
-		_ = os.Remove(p) // superseded by the fresh recording below
-		return nil, false
-	}
-	// A fresh generator (built, never stepped) supplies the ValueAt and
-	// prewarm state the file cannot carry: both are deterministic
-	// functions of the workload's build, not of emission progress.
-	return newMaterialized(w, w.NewGen(), insts), true
-}
-
-// storeDisk persists a recording via temp-file rename so readers never
-// observe a half-written file. Failures are silent: the disk layer is
-// an optimization, the in-memory recording is the data.
-func (s *Store) storeDisk(key TraceKey, insts []Inst) {
-	p, ok := s.path(key)
-	if !ok {
-		return
-	}
-	if err := os.MkdirAll(s.dir, 0o755); err != nil {
-		return
-	}
-	tmp := p + ".tmp"
-	if err := os.WriteFile(tmp, encodeTrace(key, insts), 0o644); err != nil {
-		return
-	}
-	if err := os.Rename(tmp, p); err != nil {
-		_ = os.Remove(tmp) // best-effort cleanup of the temp file
-	}
+	return hex.EncodeToString(sum[:]) + ".trace", true
 }
 
 // encodeTrace renders the recording in the flat binary layout.
@@ -335,7 +273,7 @@ func encodeTrace(key TraceKey, insts []Inst) []byte {
 	for i := range insts {
 		buf = appendInst(buf, &insts[i])
 	}
-	return binary.LittleEndian.AppendUint64(buf, fnv1a(buf[recs:]))
+	return binary.LittleEndian.AppendUint64(buf, snap.Fnv1a(buf[recs:]))
 }
 
 func appendInst(buf []byte, in *Inst) []byte {
@@ -373,17 +311,25 @@ func decodeTrace(key TraceKey, raw []byte) ([]Inst, error) {
 		return nil, fmt.Errorf("trace: header (%s, %d, %d) does not match key (%s, %d, %d)",
 			name, seed, count, key.Name, key.Seed, key.Insts)
 	}
-	want := off + int(count)*recordBytes + 8
-	if len(raw) != want {
-		return nil, fmt.Errorf("trace: file is %d bytes, want %d", len(raw), want)
+	// Sized by division: a hostile count must not overflow the
+	// expected length into a match and then a huge allocation.
+	body := len(raw) - off - 8
+	if body < 0 || body%recordBytes != 0 || uint64(body/recordBytes) != count {
+		return nil, fmt.Errorf("trace: file is %d bytes, want %d records", len(raw), count)
 	}
 	recs := raw[off : len(raw)-8]
-	if fnv1a(recs) != binary.LittleEndian.Uint64(raw[len(raw)-8:]) {
+	if snap.Fnv1a(recs) != binary.LittleEndian.Uint64(raw[len(raw)-8:]) {
 		return nil, fmt.Errorf("trace: checksum mismatch")
 	}
 	insts := make([]Inst, count)
 	for i := range insts {
-		decodeInst(&insts[i], recs[i*recordBytes:])
+		rec := recs[i*recordBytes:]
+		// Reserved flag bits and padding must be zero, so every
+		// accepted file is the canonical encoding of its records.
+		if rec[28]&^3 != 0 || rec[29]|rec[30]|rec[31] != 0 {
+			return nil, fmt.Errorf("trace: record %d sets reserved bits", i)
+		}
+		decodeInst(&insts[i], rec)
 	}
 	return insts, nil
 }
@@ -396,15 +342,4 @@ func decodeInst(in *Inst, rec []byte) {
 	in.Dst, in.Src1, in.Src2 = int8(rec[25]), int8(rec[26]), int8(rec[27])
 	in.Taken = rec[28]&1 != 0
 	in.Mispred = rec[28]&2 != 0
-}
-
-// fnv1a is the 64-bit FNV-1a hash, inlined so decoding needs no
-// hash.Hash64 indirection.
-func fnv1a(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
 }

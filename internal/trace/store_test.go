@@ -175,8 +175,9 @@ func TestStoreDiskRoundtrip(t *testing.T) {
 	}
 }
 
-// TestStoreCorruptDisk proves a damaged file is detected, replaced by a
-// fresh recording, and that the replacement is loadable again.
+// TestStoreCorruptDisk proves a damaged file is detected, quarantined
+// to *.corrupt, replaced by a fresh recording, and that the
+// replacement is loadable again.
 func TestStoreCorruptDisk(t *testing.T) {
 	dir := t.TempDir()
 	w, _ := workloads.ByName("mcf")
@@ -203,6 +204,9 @@ func TestStoreCorruptDisk(t *testing.T) {
 	}
 	if st := second.Stats(); st.BadDisk != 1 || st.Recorded != 1 {
 		t.Fatalf("stats after corruption %+v, want one bad entry and one fresh recording", st)
+	}
+	if q, err := os.ReadFile(files[0] + ".corrupt"); err != nil || string(q) != string(raw) {
+		t.Fatalf("damaged file not quarantined to *.corrupt (err %v)", err)
 	}
 	if !reflect.DeepEqual(m.Insts(), first.Insts()) {
 		t.Fatal("re-recorded instructions differ from the original")
