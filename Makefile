@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: check build vet test race lint fmtcheck bench benchcmp benchall chaos cluster-smoke batch-smoke sample-smoke partition-smoke bench-check
+.PHONY: check build vet test race lint fmtcheck bench benchcmp benchall chaos cluster-smoke batch-smoke sample-smoke partition-smoke fuzz-smoke bench-check
 
 # check gates a change: build + formatting + vet + catchlint + the
 # full test suite under the race detector (this includes
 # internal/telemetry's concurrent counter/histogram/tracer tests and
 # the runner's /metrics tests) + the seeded chaos suite + the
 # cluster determinism smoke + the batch-kernel determinism smoke +
-# the sampling accuracy smoke + the self-healing partition smoke + the
-# benchmark module's build and tests.
-check: build fmtcheck vet lint race chaos cluster-smoke batch-smoke sample-smoke partition-smoke bench-check
+# the sampling accuracy smoke + the self-healing partition smoke + a
+# short run of every fuzz target + the benchmark module's build and
+# tests.
+check: build fmtcheck vet lint race chaos cluster-smoke batch-smoke sample-smoke partition-smoke fuzz-smoke bench-check
 
 # bench-check builds and tests the benchmark module (perfbench/, its own
 # Go module over the repository's packages), so an API change that
@@ -19,13 +20,25 @@ bench-check:
 
 # partition-smoke proves the self-healing layer: with -replicas 2,
 # killing any single peer yields a byte-identical sweep with zero
-# recomputation (kill-one-peer variant), hinted handoff restores full
-# replication when the peer returns, and a split-brain 3-node cluster
-# (seeded fault schedule severing one node) keeps computing on both
-# sides, then converges every key to its full replica set on heal.
-# Bypasses the go test cache so it always re-proves.
+# recomputation (kill-one-peer variant); the manifest-diff reconcile
+# run on a peer's return to live restores full replication, whether
+# the peer kept its cache or came back as a fresh process with an
+# empty one; and a split-brain 3-node cluster (seeded fault schedule
+# severing one node) keeps computing on both sides, then converges
+# every key to its full replica set in the first probe round after
+# heal, leaving the repair pass nothing to push. Bypasses the go test
+# cache so it always re-proves.
 partition-smoke:
-	$(GO) test -run 'TestClusterReplicationSurvivesKill|TestClusterHintedHandoffDrain|TestClusterPartitionTolerance' -count=1 ./internal/cluster
+	$(GO) test -run 'TestClusterReplicationSurvivesKill|TestClusterHintedHandoffDrain|TestClusterDrainRefillsWipedPeer|TestClusterPartitionTolerance' -count=1 ./internal/cluster
+
+# fuzz-smoke runs every native fuzz target for a short -fuzztime
+# beyond its seed corpus (which plain `go test` already replays): the
+# trace and warm-snapshot decoders and the fault-plan parser. Go
+# fuzzes one target per invocation, hence one line per target.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTrace$$' -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWarm$$' -fuzztime 10s ./internal/sample
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 10s ./internal/fault
 
 # sample-smoke proves representative-interval sampling stays honest:
 # the fig13 grid run through a sampling engine must reproduce every

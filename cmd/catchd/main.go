@@ -51,15 +51,16 @@
 //
 // -replicas R makes the cluster self-healing: each completed result
 // is pushed to its R ring owners, a seeded prober (-probe-interval)
-// tracks peers through live/suspect/down, fills owed to an
-// unreachable replica queue as hints (bounded by -hint-cap, journaled
-// under -journal-dir) and drain when it returns, and an anti-entropy
-// pass (-repair-interval) diffs peer manifests to close remaining
-// gaps. Killing any single node then loses no results and recomputes
-// nothing; a partitioned minority keeps computing, reports the owed
-// keys as "unreplicated" in /v1/cluster/status, and reconciles on
-// heal. -peer-timeout bounds each control-plane peer call (shard
-// dispatch is never client-bounded; the probe deadline stays tight).
+// tracks peers through live/suspect/down, and one manifest-diff
+// reconcile pushes every cached copy a peer should hold and lacks —
+// to a peer the moment it returns to live (empty cache or not), and
+// to every live peer on each anti-entropy pass (-repair-interval).
+// Killing any single node then loses no results and recomputes
+// nothing; a partitioned minority keeps computing, reports the keys
+// owed to unreachable replicas as "unreplicated" in
+// /v1/cluster/status, and reconciles on heal. -peer-timeout bounds
+// each control-plane peer call (shard dispatch is never
+// client-bounded; the probe deadline stays tight).
 package main
 
 import (
@@ -71,7 +72,6 @@ import (
 	"net/url"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -117,7 +117,6 @@ type options struct {
 	replicas       int
 	probeInterval  time.Duration
 	repairInterval time.Duration
-	hintCap        int
 	peerTimeout    time.Duration
 
 	peerList []string // resolved by validate
@@ -231,9 +230,6 @@ func validate(o *options) error {
 	if o.repairInterval < 0 {
 		return fmt.Errorf("-repair-interval must be >= 0 (0 = anti-entropy repair off; got %v)", o.repairInterval)
 	}
-	if o.hintCap < 0 {
-		return fmt.Errorf("-hint-cap must be >= 0 (0 = default %d; got %d)", cluster.DefaultHintCap, o.hintCap)
-	}
 	if o.peerTimeout < 0 {
 		return fmt.Errorf("-peer-timeout must be >= 0 (0 = per-op defaults; got %v)", o.peerTimeout)
 	}
@@ -272,7 +268,6 @@ func main() {
 		replicas       = flag.Int("replicas", 0, "cluster members holding each completed result (0 = owner only)")
 		probeInterval  = flag.Duration("probe-interval", time.Second, "pace of the health prober driving live/suspect/down membership (0 = off)")
 		repairInterval = flag.Duration("repair-interval", 30*time.Second, "pace of the anti-entropy repair pass re-filling replica gaps (0 = off)")
-		hintCap        = flag.Int("hint-cap", 0, "max queued hinted-handoff fills; overflow drops oldest for repair to re-discover (0 = default)")
 		peerTimeout    = flag.Duration("peer-timeout", 0, "deadline for each control-plane peer call; shard dispatch is never bounded by it (0 = per-op defaults)")
 	)
 	flag.Parse()
@@ -285,7 +280,7 @@ func main() {
 		peers: *peers, self: *self, vnodes: *vnodes,
 		stealInterval: *stealInterval, lentDeadline: *lentDeadline, resultMaxAge: *resultMaxAge,
 		replicas: *replicas, probeInterval: *probeInterval, repairInterval: *repairInterval,
-		hintCap: *hintCap, peerTimeout: *peerTimeout,
+		peerTimeout: *peerTimeout,
 	}
 	if err := validate(&opts); err != nil {
 		fmt.Fprintln(os.Stderr, "catchd:", err)
@@ -348,13 +343,6 @@ func main() {
 	// the ring, results resolve through the tiered read path, and the
 	// background steal loop helps drained peers.
 	if len(opts.peerList) > 0 {
-		hintPath := ""
-		if *journalDir != "" {
-			// Hints ride the journal directory: both are "redo this after
-			// a restart" state, and a node without one simply re-earns
-			// replication through anti-entropy repair.
-			hintPath = filepath.Join(*journalDir, "hints.log")
-		}
 		node, err := cluster.NewNode(cluster.Options{
 			Self:             opts.self,
 			Peers:            opts.peerList,
@@ -367,8 +355,6 @@ func main() {
 			Replicas:         opts.replicas,
 			ProbeInterval:    opts.probeInterval,
 			RepairInterval:   opts.repairInterval,
-			HintCap:          opts.hintCap,
-			HintPath:         hintPath,
 			Seed:             plan.Seed,
 			Timeouts:         cluster.OpTimeouts{}.WithDefault(opts.peerTimeout),
 			Fault:            inj,

@@ -86,7 +86,6 @@ func TestValidate(t *testing.T) {
 		}, "-replicas 3 exceeds the 2-member cluster"},
 		{"negative probe-interval", func(o *options) { o.probeInterval = -time.Second }, "-probe-interval must be >= 0"},
 		{"negative repair-interval", func(o *options) { o.repairInterval = -time.Second }, "-repair-interval must be >= 0"},
-		{"negative hint-cap", func(o *options) { o.hintCap = -1 }, "-hint-cap must be >= 0"},
 		{"negative peer-timeout", func(o *options) { o.peerTimeout = -time.Second }, "-peer-timeout must be >= 0"},
 	}
 	for _, tt := range tests {

@@ -93,6 +93,7 @@ type testCluster struct {
 	servers  []*httptest.Server
 	handlers []*swapHandler
 	wired    []http.Handler // each node's full handler, for restart after kill
+	mutate   func(i int, o *Options)
 }
 
 // newTestCluster starts an n-node cluster. mutate, when non-nil, can
@@ -100,9 +101,11 @@ type testCluster struct {
 // faults there).
 func newTestCluster(t *testing.T, n int, mutate func(i int, o *Options)) *testCluster {
 	t.Helper()
-	tc := &testCluster{}
+	tc := &testCluster{mutate: mutate}
 	tc.handlers = make([]*swapHandler, n)
 	tc.wired = make([]http.Handler, n)
+	tc.nodes = make([]*Node, n)
+	tc.engines = make([]*runner.Engine, n)
 	for i := 0; i < n; i++ {
 		tc.handlers[i] = &swapHandler{}
 		srv := httptest.NewServer(tc.handlers[i])
@@ -111,34 +114,40 @@ func newTestCluster(t *testing.T, n int, mutate func(i int, o *Options)) *testCl
 		tc.urls = append(tc.urls, srv.URL)
 	}
 	for i := 0; i < n; i++ {
-		eng := runner.New(runner.Options{Workers: 2, Cache: runner.NewCache("")})
-		o := Options{
-			Self:         tc.urls[i],
-			Peers:        tc.urls,
-			Engine:       eng,
-			LentDeadline: 2 * time.Second,
-		}
-		if mutate != nil {
-			mutate(i, &o)
-		}
-		node, err := NewNode(o)
-		if err != nil {
-			t.Fatalf("node %d: %v", i, err)
-		}
-		inner := &runner.Server{Engine: eng, Resolve: testResolver()}
-		cs := &Server{Node: node, Resolve: testResolver(), Inner: inner.Handler()}
-		tc.wired[i] = cs.Handler()
-		tc.handlers[i].set(tc.wired[i])
-		tc.nodes = append(tc.nodes, node)
-		tc.engines = append(tc.engines, eng)
+		tc.spawn(t, i)
 	}
 	return tc
 }
 
+// spawn builds node i anew — a fresh engine with an empty cache and a
+// fresh membership view, behind slot i's URL — and wires it to serve. Called on a running slot it models a node replaced by
+// a new process that lost its state.
+func (tc *testCluster) spawn(t *testing.T, i int) {
+	t.Helper()
+	eng := runner.New(runner.Options{Workers: 2, Cache: runner.NewCache("")})
+	o := Options{
+		Self:         tc.urls[i],
+		Peers:        tc.urls,
+		Engine:       eng,
+		LentDeadline: 2 * time.Second,
+	}
+	if tc.mutate != nil {
+		tc.mutate(i, &o)
+	}
+	node, err := NewNode(o)
+	if err != nil {
+		t.Fatalf("node %d: %v", i, err)
+	}
+	inner := &runner.Server{Engine: eng, Resolve: testResolver()}
+	cs := &Server{Node: node, Resolve: testResolver(), Inner: inner.Handler()}
+	tc.nodes[i], tc.engines[i], tc.wired[i] = node, eng, cs.Handler()
+	tc.handlers[i].set(tc.wired[i])
+}
+
 // kill makes node i answer every request 503 (text/plain, no
 // Retry-After: a crashed catchd behind a load balancer, not a
-// shedding one). The process state — engine, cache, hint log — stays
-// alive so restart models a quick supervisor bounce.
+// shedding one). The process state — engine, cache, membership view —
+// stays alive so restart models a quick supervisor bounce.
 func (tc *testCluster) kill(i int) { tc.handlers[i].set(nil) }
 
 // restart rewires node i's handler, modeling the supervisor bringing

@@ -19,12 +19,12 @@ const (
 	// MemberSuspect: the peer has missed probes but not enough to
 	// condemn it. It is still routable — a suspect peer is usually a
 	// slow one, and moving its shards early would churn the ring for
-	// nothing — but new replica fills to it queue as hints instead of
-	// waiting on a possibly-dead socket.
+	// nothing — but new replica fills skip it instead of waiting on a
+	// possibly-dead socket; the reconcile on its return delivers them.
 	MemberSuspect MemberState = 1
 	// MemberDown: the peer has missed enough consecutive probes to be
 	// excluded: sweeps route around it, the peer tier skips it, and
-	// everything destined to it queues as hints until it returns.
+	// copies owed to it wait for the reconcile on its return.
 	MemberDown MemberState = 2
 )
 
@@ -61,39 +61,32 @@ func (t Transition) String() string {
 
 // Health is the node's shared membership view, driven by the active
 // prober and consumed by the sweep coordinator (initial down-set), the
-// peer cache tier (replica walk), the steal loop (victim selection)
-// and the replicator (fill-vs-hint decision).
+// peer cache tier (replica walk), the steal loop (victim selection),
+// the replicator (fill-or-skip decision) and the reconcile routine
+// (which peers to diff).
 //
 // State transitions are counted in consecutive probe outcomes, never
 // in wall-clock time — the same idiom as the circuit breaker's
 // denied-call cooldown — so a test driving ProbeOnce by hand replays
 // the exact live→suspect→down→live schedule every run.
 type Health struct {
-	self         string
-	peers        []string // sorted, excluding self
-	suspectAfter int      // consecutive failures -> suspect
-	downAfter    int      // consecutive failures -> down
+	self  string
+	peers []string // sorted, excluding self
 
 	mu sync.Mutex
 	m  map[string]*memberHealth
 }
 
-// DefaultSuspectAfter and DefaultDownAfter are the probe-miss budgets:
-// one miss makes a peer suspect, three misses condemn it.
+// The probe-miss budgets: one miss makes a peer suspect, three
+// consecutive misses condemn it.
 const (
-	DefaultSuspectAfter = 1
-	DefaultDownAfter    = 3
+	suspectAfter = 1
+	downAfter    = 3
 )
 
 // newHealth builds the view over the ring members, all initially live.
-func newHealth(self string, members []string, suspectAfter, downAfter int) *Health {
-	if suspectAfter <= 0 {
-		suspectAfter = DefaultSuspectAfter
-	}
-	if downAfter < suspectAfter {
-		downAfter = max(DefaultDownAfter, suspectAfter)
-	}
-	h := &Health{self: self, suspectAfter: suspectAfter, downAfter: downAfter, m: make(map[string]*memberHealth)}
+func newHealth(self string, members []string) *Health {
+	h := &Health{self: self, m: make(map[string]*memberHealth)}
 	for _, m := range members {
 		if m == self {
 			continue
@@ -122,9 +115,9 @@ func (h *Health) observe(peer string, ok bool) (Transition, bool) {
 	} else {
 		mh.fails++
 		switch {
-		case mh.fails >= h.downAfter:
+		case mh.fails >= downAfter:
 			mh.state = MemberDown
-		case mh.fails >= h.suspectAfter:
+		case mh.fails >= suspectAfter:
 			mh.state = MemberSuspect
 		}
 	}
@@ -160,8 +153,8 @@ func (h *Health) Down() map[string]bool {
 	return down
 }
 
-// Unroutable returns the peers new replica fills should not wait on:
-// the suspect and down sets together. Fills to them queue as hints.
+// Unroutable reports whether new replica fills should skip peer: it
+// is suspect or down. The reconcile on its return delivers the copies.
 func (h *Health) Unroutable(peer string) bool {
 	return h.State(peer) != MemberLive
 }
@@ -205,10 +198,10 @@ func (h *Health) snapshot() []MemberHealthDoc {
 
 // ProbeOnce runs one probe round: every peer is pinged in sorted
 // order, the outcomes drive the membership state machine, and every
-// peer that just transitioned back to live gets its hinted-handoff
-// queue drained. The returned transitions let tests pin the exact
-// schedule; the round is deterministic given deterministic probe
-// outcomes (the fault injector's Peer kind, a closed test server).
+// peer that just transitioned back to live is reconciled (DrainHints).
+// The returned transitions let tests pin the exact schedule; the round
+// is deterministic given deterministic probe outcomes (the fault
+// injector's Peer kind, a closed test server).
 func (n *Node) ProbeOnce(ctx context.Context) []Transition {
 	var transitions []Transition
 	for _, peer := range n.health.peers {
@@ -224,8 +217,8 @@ func (n *Node) ProbeOnce(ctx context.Context) []Transition {
 		transitions = append(transitions, tr)
 		n.logf("cluster: health: %s", tr)
 		if tr.To == MemberLive {
-			// The peer is back: push everything that queued for it
-			// while it was away.
+			// The peer is back: push every copy it should hold and
+			// lacks, whether owed from its outage or lost with it.
 			n.DrainHints(ctx, peer)
 		}
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 func testHealth() *Health {
-	return newHealth("http://a:1", []string{"http://a:1", "http://b:1", "http://c:1"}, 0, 0)
+	return newHealth("http://a:1", []string{"http://a:1", "http://b:1", "http://c:1"})
 }
 
 // TestHealthStateMachine pins the counted-failure transitions: one
@@ -87,15 +87,6 @@ func TestHealthSelfAndUnknown(t *testing.T) {
 	}
 }
 
-// TestHealthThresholdClamping pins that a down budget below the
-// suspect budget is lifted, never inverted.
-func TestHealthThresholdClamping(t *testing.T) {
-	h := newHealth("a", []string{"a", "b"}, 5, 2)
-	if h.suspectAfter != 5 || h.downAfter < 5 {
-		t.Fatalf("thresholds = %d/%d; down must not trigger before suspect", h.suspectAfter, h.downAfter)
-	}
-}
-
 // TestProbeOnceTransitions drives the prober against a real cluster:
 // probe outcomes move the membership view, and the transitions come
 // back in deterministic (sorted-peer) order.
@@ -131,17 +122,22 @@ func TestProbeOnceTransitions(t *testing.T) {
 }
 
 // TestHealthSummaryLine pins the /healthz one-liner an operator greps
-// during an incident.
+// during an incident: one cached key whose replica set includes the
+// down peer reads as unreplicated=1.
 func TestHealthSummaryLine(t *testing.T) {
 	tc := newTestCluster(t, 3, func(i int, o *Options) { o.Replicas = 2 })
 	ctx := context.Background()
+	healthy := "replicas=2 live=3 suspect=0 down=0 unreplicated=0"
+	if got := tc.nodes[0].HealthSummary(); got != healthy {
+		t.Fatalf("healthy HealthSummary() = %q, want %q", got, healthy)
+	}
 	tc.kill(2)
 	for i := 0; i < 3; i++ {
 		tc.nodes[0].ProbeOnce(ctx)
 	}
-	tc.nodes[0].hints.add(tc.urls[2], "deadbeefdeadbeef")
+	tc.engines[0].Cache().Put(tc.keyReplicatedOn(tc.urls[2], true), tierResults())
 
-	want := "replicas=2 live=2 suspect=0 down=1 hints=1 unreplicated=1"
+	want := "replicas=2 live=2 suspect=0 down=1 unreplicated=1"
 	if got := tc.nodes[0].HealthSummary(); got != want {
 		t.Fatalf("HealthSummary() = %q, want %q", got, want)
 	}

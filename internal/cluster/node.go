@@ -24,10 +24,6 @@ type Options struct {
 	// Engine executes local jobs (compute tier) and owns the local
 	// cache whose memory and disk layers become the top two tiers.
 	Engine *runner.Engine
-	// Client talks to peers; nil builds a default one.
-	Client *Client
-	// StealBatch bounds jobs taken per steal (<=0: 4).
-	StealBatch int
 	// StealInterval paces the background steal loop started by Start;
 	// <=0 disables background stealing (StealOnce still works).
 	StealInterval time.Duration
@@ -42,31 +38,21 @@ type Options struct {
 	// (<=1: owner only, the historical behavior). Capped at the
 	// cluster size. With R > 1, every OK result fans out to the key's
 	// first R distinct ring successors, the peer tier walks that set
-	// on lookup, and fills to unroutable members queue as hints.
+	// on lookup, and copies a suspect or down member misses reach it
+	// by reconcile when it returns.
 	Replicas int
 	// ProbeInterval paces the background failure detector; <=0
 	// disables background probing (ProbeOnce still works). Rounds are
 	// jittered into [50%,100%] of the interval, seeded by Seed.
 	ProbeInterval time.Duration
-	// SuspectAfter/DownAfter are the consecutive-probe-miss budgets
-	// for the suspect and down transitions (<=0: 1 and 3).
-	SuspectAfter int
-	DownAfter    int
-	// HintCap bounds the hinted-handoff log (<=0: DefaultHintCap).
-	HintCap int
-	// HintPath is the hint journal file; empty keeps hints in memory
-	// only (they survive peer outages, not process restarts).
-	HintPath string
 	// RepairInterval paces the background anti-entropy pass; <=0
 	// disables it (RepairOnce still works).
 	RepairInterval time.Duration
 	// Seed drives the probe/repair pacing jitter.
 	Seed uint64
-	// Timeouts bounds each peer-call kind for the default client
-	// (ignored when Client is supplied).
+	// Timeouts bounds each peer-call kind.
 	Timeouts OpTimeouts
-	// Fault injects deterministic peer-call failures into the default
-	// client (chaos only; ignored when Client is supplied).
+	// Fault injects deterministic peer-call failures (chaos only).
 	Fault *fault.Injector
 	// Metrics, when non-nil, receives the cluster series.
 	Metrics *telemetry.Registry
@@ -85,7 +71,6 @@ type Node struct {
 	tiers  *Tiered
 	queue  *stealQueue
 	health *Health
-	hints  *hintLog
 
 	mSteals       *telemetry.Counter
 	mStolenJobs   *telemetry.Counter
@@ -97,10 +82,13 @@ type Node struct {
 	mProbeFails   *telemetry.Counter
 	mReplicaFills *telemetry.Counter
 	mReplicasIn   *telemetry.Counter
-	mHintsQueued  *telemetry.Counter
 	mHintsDrained *telemetry.Counter
 	mRepairFills  *telemetry.Counter
 }
+
+// stealBatch bounds the jobs taken per steal when the thief names no
+// (or an out-of-range) count.
+const stealBatch = 4
 
 // NewNode builds a node. The engine must have a cache: the cluster's
 // whole point is a shared content-addressed result space.
@@ -122,9 +110,6 @@ func NewNode(o Options) (*Node, error) {
 	if !found {
 		return nil, fmt.Errorf("cluster: self %q is not in the peer list %v", o.Self, ring.Members())
 	}
-	if o.StealBatch <= 0 {
-		o.StealBatch = 4
-	}
 	if o.LentDeadline <= 0 {
 		o.LentDeadline = 30 * time.Second
 	}
@@ -134,18 +119,19 @@ func NewNode(o Options) (*Node, error) {
 	if members := len(ring.Members()); o.Replicas > members {
 		o.Replicas = members
 	}
-	n := &Node{opts: o, ring: ring, client: o.Client, queue: newStealQueue()}
-	if n.client == nil {
-		n.client = NewClient(ClientOptions{
+	n := &Node{
+		opts:  o,
+		ring:  ring,
+		queue: newStealQueue(),
+		client: NewClient(ClientOptions{
 			Fault:            o.Fault,
 			Timeouts:         o.Timeouts,
 			BreakerThreshold: o.BreakerThreshold,
 			BreakerCooldown:  o.BreakerCooldown,
 			Metrics:          o.Metrics,
-		})
+		}),
+		health: newHealth(o.Self, ring.Members()),
 	}
-	n.health = newHealth(o.Self, ring.Members(), o.SuspectAfter, o.DownAfter)
-	n.hints = newHintLog(o.HintCap, o.HintPath, n.logf)
 	cache := o.Engine.Cache()
 	newBreaker := func(name string) *fault.Breaker {
 		// Local tiers ride the cache's own disk breaker; only the peer
@@ -173,17 +159,14 @@ func NewNode(o Options) (*Node, error) {
 		n.mProbeFails = r.Counter("catch_cluster_probe_failures_total", "Health probes that failed.")
 		n.mReplicaFills = r.Counter("catch_cluster_replica_fills_total", "Replica copies pushed to peers.")
 		n.mReplicasIn = r.Counter("catch_cluster_replicas_in_total", "Replica copies accepted from peers.")
-		n.mHintsQueued = r.Counter("catch_cluster_hints_queued_total", "Replica fills deferred into the hint log.")
-		n.mHintsDrained = r.Counter("catch_cluster_hints_drained_total", "Hinted fills delivered after a peer returned.")
+		n.mHintsDrained = r.Counter("catch_cluster_hints_drained_total", "Replica copies pushed to a peer on its return to live.")
 		n.mRepairFills = r.Counter("catch_cluster_repair_fills_total", "Replica copies pushed by anti-entropy repair.")
 		r.GaugeFunc("catch_cluster_queue_len", "Pending jobs in the steal queue.",
 			func() float64 { return float64(n.queue.queueLen()) })
 		r.GaugeFunc("catch_cluster_peers", "Static cluster size.",
 			func() float64 { return float64(len(ring.Members())) })
-		r.GaugeFunc("catch_cluster_hints_pending", "Hinted replica fills waiting for their peer to return.",
-			func() float64 { return float64(n.hints.pendingCount()) })
-		r.GaugeFunc("catch_cluster_unreplicated_keys", "Distinct result keys below their replication factor.",
-			func() float64 { return float64(n.hints.distinctKeys()) })
+		r.GaugeFunc("catch_cluster_unreplicated_keys", "Cached result keys whose replica set includes a suspect or down peer.",
+			func() float64 { return float64(n.unreplicated()) })
 		r.GaugeFunc("catch_cluster_peers_down", "Peers the failure detector currently condemns.",
 			func() float64 { _, _, down := n.health.Counts(); return float64(down) })
 	}
@@ -192,7 +175,7 @@ func NewNode(o Options) (*Node, error) {
 	for _, c := range []**telemetry.Counter{
 		&n.mSteals, &n.mStolenJobs, &n.mFills, &n.mShardsIn, &n.mRerouted, &n.mPeerCompute,
 		&n.mProbes, &n.mProbeFails, &n.mReplicaFills, &n.mReplicasIn,
-		&n.mHintsQueued, &n.mHintsDrained, &n.mRepairFills,
+		&n.mHintsDrained, &n.mRepairFills,
 	} {
 		if *c == nil {
 			*c = &telemetry.Counter{}
@@ -222,8 +205,29 @@ func (n *Node) Replicas() int { return n.opts.Replicas }
 // under-replicated results.
 func (n *Node) HealthSummary() string {
 	live, suspect, down := n.health.Counts()
-	return fmt.Sprintf("replicas=%d live=%d suspect=%d down=%d hints=%d unreplicated=%d",
-		n.opts.Replicas, live+1, suspect, down, n.hints.pendingCount(), n.hints.distinctKeys())
+	return fmt.Sprintf("replicas=%d live=%d suspect=%d down=%d unreplicated=%d",
+		n.opts.Replicas, live+1, suspect, down, n.unreplicated())
+}
+
+// unreplicated counts the locally cached keys whose replica set
+// includes a suspect or down member: results this node serves
+// correctly that currently live below their replication factor (the
+// number a minority partition watches fall to zero after heal). While
+// every peer is live it is zero without listing the cache.
+func (n *Node) unreplicated() int {
+	if _, suspect, down := n.health.Counts(); n.opts.Replicas <= 1 || suspect+down == 0 {
+		return 0
+	}
+	count := 0
+	for _, key := range n.opts.Engine.Cache().Keys() {
+		for _, owner := range n.ring.Owners(key, n.opts.Replicas, nil) {
+			if n.health.Unroutable(owner) {
+				count++
+				break
+			}
+		}
+	}
+	return count
 }
 
 // peerTier is the third cache level: fetch the result from the key's
@@ -283,27 +287,19 @@ func (n *Node) ExecuteShard(ctx context.Context, jobs []runner.Job, jl *runner.J
 }
 
 // replicate pushes one completed result to every other member of its
-// replica set. A member that is unroutable (suspect or down) — or
-// whose fill fails — gets a hint instead: the copy is owed, and the
-// drain delivers it when the member returns. The local node keeps
-// serving the result meanwhile, so a minority partition degrades to
-// "computed but unreplicated", never to "lost".
+// replica set. A member that is unroutable (suspect or down) is
+// skipped, and a failed fill is only logged: the copy is owed, and
+// the reconcile on the member's return (or the next repair pass)
+// delivers it from the local cache. The local node keeps serving the
+// result meanwhile, so a minority partition degrades to "computed but
+// unreplicated", never to "lost".
 func (n *Node) replicate(ctx context.Context, key string, rs []core.Result) {
 	for _, owner := range n.ring.Owners(key, n.opts.Replicas, nil) {
-		if owner == n.opts.Self {
-			continue
-		}
-		if n.health.Unroutable(owner) {
-			if n.hints.add(owner, key) {
-				n.mHintsQueued.Inc()
-			}
+		if owner == n.opts.Self || n.health.Unroutable(owner) {
 			continue
 		}
 		if err := n.client.ReplicaFill(ctx, owner, key, rs); err != nil {
-			if n.hints.add(owner, key) {
-				n.mHintsQueued.Inc()
-				n.logf("cluster: replica fill %s to %s failed (%v); hinted", shortKey(key), owner, err)
-			}
+			n.logf("cluster: replica fill %s to %s failed (%v); left to reconcile", shortKey(key), owner, err)
 			continue
 		}
 		n.mReplicaFills.Inc()
@@ -385,7 +381,7 @@ func (n *Node) cacheAndJournal(key string, rs []core.Result, jl *runner.Journal)
 // HandleSteal serves a peer's steal request from the local queue.
 func (n *Node) HandleSteal(max int) []runner.Job {
 	if max <= 0 || max > 64 {
-		max = n.opts.StealBatch
+		max = stealBatch
 	}
 	return n.queue.steal(max)
 }
@@ -441,7 +437,7 @@ func (n *Node) StealOnce(ctx context.Context) (int, error) {
 	if victim == "" {
 		return 0, nil
 	}
-	jobs, err := n.client.Steal(ctx, victim, n.opts.StealBatch)
+	jobs, err := n.client.Steal(ctx, victim, stealBatch)
 	if err != nil || len(jobs) == 0 {
 		return 0, err
 	}
@@ -616,8 +612,8 @@ func (n *Node) RunSweep(ctx context.Context, jobs []runner.Job, jl *runner.Journ
 	return out
 }
 
-// Down reports the peers whose breakers are currently open (status
-// endpoint).
+// peerStates reports every ring member with its peer-breaker state
+// (status endpoint).
 func (n *Node) peerStates() []PeerState {
 	members := n.ring.Members()
 	out := make([]PeerState, 0, len(members))

@@ -28,8 +28,9 @@ func partitionInjector(seed uint64, match string) *fault.Injector {
 // seeded deterministic fault schedule. Both sides keep serving sweeps
 // — byte-identical to the single-node run — with the minority side
 // computing locally and marking everything unreplicated. On heal, the
-// hint drains plus one anti-entropy pass converge every key onto its
-// full replica set with zero further compute.
+// reconciles run by the first probe round converge every key onto its
+// full replica set with zero further compute, leaving an anti-entropy
+// pass nothing to do.
 func TestClusterPartitionTolerance(t *testing.T) {
 	ref := singleNodeFlatten(t)
 	tc := newTestCluster(t, 3, func(i int, o *Options) { o.Replicas = 2 })
@@ -59,7 +60,7 @@ func TestClusterPartitionTolerance(t *testing.T) {
 	}
 
 	// Majority sweep: shards spread over {0,1}, replica fills owed to
-	// node 2 queue as hints.
+	// node 2 skip it.
 	if got := mustFlatten(t, tc.sweep(t, 0)); !bytes.Equal(got, ref) {
 		t.Fatal("majority-side sweep diverged during the partition")
 	}
@@ -79,7 +80,7 @@ func TestClusterPartitionTolerance(t *testing.T) {
 	if n := tc.engines[2].Executed(); n != uint64(len(keys)) {
 		t.Fatalf("minority executed %d jobs, want all %d locally", n, len(keys))
 	}
-	if n := tc.nodes[2].hints.distinctKeys(); n != len(keys) {
+	if n := tc.nodes[2].unreplicated(); n != len(keys) {
 		t.Fatalf("minority marks %d keys unreplicated, want all %d (R=2 means every key has a remote owner)",
 			n, len(keys))
 	}
@@ -107,8 +108,15 @@ func TestClusterPartitionTolerance(t *testing.T) {
 		t.Fatalf("minority status shows %d peers down, want 2", downCount)
 	}
 
+	// Both sides swept the same grid, so the sweeps alone leave no key
+	// short of a replica. A result only the minority holds, owed to
+	// both majority nodes, is the gap the heal round must close.
+	orphan := tc.keyReplicatedOn(tc.urls[2], false)
+	tc.engines[2].Cache().Put(orphan, tierResults())
+
 	// Heal the partition and let the detectors notice: every down→live
-	// transition drains the hints owed to the returning peer.
+	// transition reconciles the returning peer. That one probe round
+	// must restore every key to its full replica set, by copying.
 	totalExecuted := executedTotal(tc)
 	for i := range tc.nodes {
 		tc.nodes[i].client.SetFault(nil)
@@ -116,23 +124,25 @@ func TestClusterPartitionTolerance(t *testing.T) {
 	for i := range tc.nodes {
 		tc.nodes[i].ProbeOnce(ctx)
 	}
+	assertReplicated(t, tc, append(keys, orphan), 2)
 	for i := range tc.nodes {
-		if n := tc.nodes[i].hints.pendingCount(); n != 0 {
-			t.Fatalf("node %d still holds %d hints after heal", i, n)
+		if n := tc.nodes[i].unreplicated(); n != 0 {
+			t.Fatalf("node %d still reports %d unreplicated keys after heal", i, n)
 		}
 	}
-
-	// One repair pass per node closes anything the drains missed; the
-	// manifest diff must then be empty — every key on its full replica
-	// set — with zero post-heal compute.
-	for i := range tc.nodes {
-		if _, err := tc.nodes[i].RepairOnce(ctx); err != nil {
-			t.Fatalf("repair on node %d: %v", i, err)
-		}
-	}
-	assertReplicated(t, tc, keys, 2)
 	if executedTotal(tc) != totalExecuted {
 		t.Fatal("reconciliation recomputed results instead of copying them")
+	}
+
+	// An anti-entropy pass after the heal round finds nothing to do.
+	for i := range tc.nodes {
+		fills, err := tc.nodes[i].RepairOnce(ctx)
+		if err != nil {
+			t.Fatalf("repair on node %d: %v", i, err)
+		}
+		if fills != 0 {
+			t.Fatalf("repair on node %d pushed %d fills after the heal round", i, fills)
+		}
 	}
 
 	// A post-heal sweep from either side serves from cache, identical.

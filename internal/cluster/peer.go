@@ -330,8 +330,8 @@ type PeerStatusError struct {
 	StatusCode int
 	Status     string
 	// RetryAfter is the parsed Retry-After header (0 when absent); a
-	// caller that can defer — the hinted-handoff queue, the steal
-	// loop — honors it by trying again no sooner than this.
+	// caller that can defer honors it by trying again no sooner than
+	// this.
 	RetryAfter time.Duration
 	Body       string
 }
@@ -427,7 +427,7 @@ func (c *Client) Probe(ctx context.Context, peer string) error {
 }
 
 // Manifest fetches the sorted list of result keys a peer holds, for
-// the anti-entropy repair pass.
+// the reconcile diff.
 func (c *Client) Manifest(ctx context.Context, peer string) ([]string, error) {
 	var doc manifestDoc
 	found, err := c.getJSON(ctx, peer, "manifest", peer, peer+"/v1/cluster/manifest", true, &doc)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"testing"
 )
@@ -29,6 +30,30 @@ func jobKeys() []string {
 		keys[i] = jobs[i].Key()
 	}
 	return keys
+}
+
+// owedTo returns the keys whose R=2 replica set includes url.
+func (tc *testCluster) owedTo(keys []string, url string) map[string]bool {
+	owed := make(map[string]bool)
+	for _, key := range keys {
+		for _, owner := range tc.nodes[0].Ring().Owners(key, 2, nil) {
+			if owner == url {
+				owed[key] = true
+			}
+		}
+	}
+	return owed
+}
+
+// keyReplicatedOn returns the first synthetic result key whose R=2
+// replica set includes url (on) or excludes it (!on).
+func (tc *testCluster) keyReplicatedOn(url string, on bool) string {
+	for i := 0; ; i++ {
+		key := fmt.Sprintf("%016x", i)
+		if tc.owedTo([]string{key}, url)[key] == on {
+			return key
+		}
+	}
 }
 
 // assertReplicated fails unless every key is cached on every member of
@@ -86,9 +111,10 @@ func TestClusterReplicationSurvivesKill(t *testing.T) {
 
 // TestClusterHintedHandoffDrain walks the full outage lifecycle: the
 // prober condemns a killed peer (live → suspect → down), sweeps route
-// around it from the first dispatch, replica fills owed to it queue as
-// hints, and its return (down → live) drains the hints — restoring
-// full replication without the peer recomputing anything.
+// around it from the first dispatch, replica fills skip it, every
+// survivor reports exactly the cached keys owed to it as unreplicated,
+// and its return (down → live) reconciles it — restoring full
+// replication without the peer recomputing anything.
 func TestClusterHintedHandoffDrain(t *testing.T) {
 	ref := singleNodeFlatten(t)
 	tc := newTestCluster(t, 3, func(i int, o *Options) { o.Replicas = 2 })
@@ -116,8 +142,8 @@ func TestClusterHintedHandoffDrain(t *testing.T) {
 	}
 
 	// The detector seeded the sweep's down-set, so the dead peer never
-	// gets a doomed dispatch (no reroute), and replica fills owed to it
-	// queue as hints instead of waiting on its socket.
+	// gets a doomed dispatch (no reroute), and replica fills skip it
+	// instead of waiting on its socket.
 	rerouted := tc.nodes[0].mRerouted.Value()
 	if got := mustFlatten(t, tc.sweep(t, 0)); !bytes.Equal(got, ref) {
 		t.Fatal("sweep with a condemned peer diverged")
@@ -129,32 +155,28 @@ func TestClusterHintedHandoffDrain(t *testing.T) {
 		t.Fatal("coordinator dispatched a shard to a peer the detector had already condemned")
 	}
 
-	// Every key whose replica set includes the dead peer is owed a
-	// copy; the survivors' hint logs must carry exactly those.
-	owed := make(map[string]bool)
-	for _, key := range keys {
-		for _, owner := range tc.nodes[0].Ring().Owners(key, 2, nil) {
-			if owner == tc.urls[2] {
-				owed[key] = true
-			}
-		}
-	}
-	hinted := make(map[string]bool)
+	// Every cached key whose replica set includes the dead peer is owed
+	// a copy; each survivor must report exactly those. The coordinator
+	// caches the whole sweep, so it owes every such key.
+	owed := tc.owedTo(keys, tc.urls[2])
 	for _, i := range []int{0, 1} {
-		tc.nodes[i].hints.mu.Lock()
-		for _, h := range tc.nodes[i].hints.pending {
-			if h.peer == tc.urls[2] {
-				hinted[h.key] = true
+		want := 0
+		for _, key := range tc.engines[i].Cache().Keys() {
+			if owed[key] {
+				want++
 			}
 		}
-		tc.nodes[i].hints.mu.Unlock()
-	}
-	if len(hinted) != len(owed) {
-		t.Fatalf("hint logs owe the dead peer %d distinct keys, want %d", len(hinted), len(owed))
+		if i == 0 && want != len(owed) {
+			t.Fatalf("coordinator caches %d of the %d owed keys", want, len(owed))
+		}
+		if got := tc.nodes[i].unreplicated(); got != want {
+			t.Fatalf("node %d reports %d unreplicated keys, want the %d it caches that are owed", i, got, want)
+		}
 	}
 
 	// The peer returns: the first successful probe flips it back to
-	// live and drains the hints into its cache.
+	// live and reconciles it. It kept its cache across the bounce, so
+	// the manifest diff finds nothing to send.
 	tc.restart(2)
 	for _, i := range []int{0, 1} {
 		trs := tc.nodes[i].ProbeOnce(ctx)
@@ -165,25 +187,67 @@ func TestClusterHintedHandoffDrain(t *testing.T) {
 		}
 	}
 	for _, i := range []int{0, 1} {
-		if n := tc.nodes[i].hints.pendingCount(); n != 0 {
-			t.Fatalf("node %d still holds %d hints after the peer returned", i, n)
+		if n := tc.nodes[i].unreplicated(); n != 0 {
+			t.Fatalf("node %d still reports %d unreplicated keys after the peer returned", i, n)
+		}
+		if n := tc.nodes[i].mHintsDrained.Value(); n != 0 {
+			t.Fatalf("node %d pushed %d copies to a peer that kept its cache", i, n)
 		}
 	}
-	for key := range owed {
-		if _, ok := tc.engines[2].Cache().Get(key); !ok {
-			t.Fatalf("restarted peer never received hinted key %s", shortKey(key))
-		}
-	}
-	// The drain restored replication by copying, not recomputing.
+	// Replication is whole again by copying, not recomputing.
 	if tc.engines[2].Executed() != deadExecuted {
-		t.Fatal("restarted peer recomputed results the drain should have delivered")
+		t.Fatal("restarted peer recomputed results")
 	}
 	assertReplicated(t, tc, keys, 2)
 }
 
-// TestClusterStatusReplicationFields pins the new status-document
-// surface: replication factor, per-peer health view and the
-// under-replication backlog an operator watches during an incident.
+// TestClusterDrainRefillsWipedPeer pins the case a log of outage-time
+// fills could not cover: a warm node dies and its slot returns as a
+// fresh process with an empty cache. One probe round on the survivors
+// reconciles it from their caches — every key back on its full replica
+// set, and the fresh node computes nothing.
+func TestClusterDrainRefillsWipedPeer(t *testing.T) {
+	ref := singleNodeFlatten(t)
+	tc := newTestCluster(t, 3, func(i int, o *Options) { o.Replicas = 2 })
+	ctx := context.Background()
+	keys := jobKeys()
+
+	if got := mustFlatten(t, tc.sweep(t, 0)); !bytes.Equal(got, ref) {
+		t.Fatal("warm sweep diverged")
+	}
+	assertReplicated(t, tc, keys, 2)
+
+	tc.kill(2)
+	for round := 0; round < 3; round++ {
+		for _, i := range []int{0, 1} {
+			tc.nodes[i].ProbeOnce(ctx)
+		}
+	}
+	tc.spawn(t, 2)
+	if n := len(tc.engines[2].Cache().Keys()); n != 0 {
+		t.Fatalf("replacement node starts with %d cached keys", n)
+	}
+
+	for _, i := range []int{0, 1} {
+		trs := tc.nodes[i].ProbeOnce(ctx)
+		if len(trs) != 1 || trs[0].Peer != tc.urls[2] || trs[0].To != MemberLive {
+			t.Fatalf("node %d probe round after replacement: %v, want %s live", i, trs, tc.urls[2])
+		}
+	}
+	assertReplicated(t, tc, keys, 2)
+	if n := tc.engines[2].Executed(); n != 0 {
+		t.Fatalf("replacement node executed %d jobs; the reconcile should have copied them", n)
+	}
+	drained := tc.nodes[0].mHintsDrained.Value() + tc.nodes[1].mHintsDrained.Value()
+	if owed := len(tc.owedTo(keys, tc.urls[2])); drained != uint64(owed) {
+		t.Fatalf("survivors pushed %d copies, want exactly the %d owed", drained, owed)
+	}
+}
+
+// TestClusterStatusReplicationFields pins the status-document surface:
+// replication factor, per-peer health view and the under-replication
+// count an operator watches during an incident — one cached key whose
+// replica set includes the down peer, beside one whose set does not.
 func TestClusterStatusReplicationFields(t *testing.T) {
 	tc := newTestCluster(t, 3, func(i int, o *Options) { o.Replicas = 2 })
 	ctx := context.Background()
@@ -192,7 +256,8 @@ func TestClusterStatusReplicationFields(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		tc.nodes[0].ProbeOnce(ctx)
 	}
-	tc.nodes[0].hints.add(tc.urls[2], "deadbeefdeadbeef")
+	tc.engines[0].Cache().Put(tc.keyReplicatedOn(tc.urls[2], true), tierResults())
+	tc.engines[0].Cache().Put(tc.keyReplicatedOn(tc.urls[2], false), tierResults())
 
 	resp, err := http.Get(tc.urls[0] + "/v1/cluster/status")
 	if err != nil {
@@ -206,8 +271,8 @@ func TestClusterStatusReplicationFields(t *testing.T) {
 	if doc.Replicas != 2 {
 		t.Fatalf("status replicas = %d, want 2", doc.Replicas)
 	}
-	if doc.Hints != 1 || doc.Unreplicated != 1 {
-		t.Fatalf("status hints/unreplicated = %d/%d, want 1/1", doc.Hints, doc.Unreplicated)
+	if doc.Unreplicated != 1 {
+		t.Fatalf("status unreplicated = %d, want 1", doc.Unreplicated)
 	}
 	states := make(map[string]string)
 	for _, h := range doc.Health {

@@ -17,6 +17,7 @@ import (
 // handler:
 //
 //	GET  /v1/cluster/status   ring membership, tiers, queue, peers
+//	GET  /v1/cluster/manifest cached result keys, for reconcile
 //	POST /v1/cluster/shard    execute one sweep shard (cluster-internal)
 //	POST /v1/cluster/steal    hand over pending queue tail (internal)
 //	POST /v1/cluster/fill     return a stolen job's results (internal)
@@ -53,17 +54,14 @@ type StatusDoc struct {
 	Peers     []PeerState `json:"peers"`
 	// Health is this node's failure-detector view of every peer.
 	Health []MemberHealthDoc `json:"health,omitempty"`
-	// Hints is the hinted-handoff backlog: replica fills waiting for
-	// their destination to return. Unreplicated is the distinct result
-	// keys in that backlog — results this node serves correctly but
-	// that currently live below their replication factor (the number a
-	// minority partition watches shrink to zero after heal).
-	Hints        int    `json:"hints"`
-	HintsDropped uint64 `json:"hintsDropped,omitempty"` // overflowed hint-log entries (repair's job now)
-	Unreplicated int    `json:"unreplicated"`
+	// Unreplicated is the number of locally cached keys whose replica
+	// set includes a suspect or down member — results this node serves
+	// correctly but that currently live below their replication factor
+	// (the number a minority partition watches fall to zero after heal).
+	Unreplicated int `json:"unreplicated"`
 	// Replication traffic counters: copies pushed on completion,
-	// copies accepted from peers, hinted fills delivered after a
-	// return, and copies pushed by anti-entropy repair.
+	// copies accepted from peers, copies pushed to a peer on its return
+	// to live, and copies pushed by anti-entropy repair.
 	ReplicaFills  uint64 `json:"replicaFills,omitempty"`
 	ReplicasIn    uint64 `json:"replicasIn,omitempty"`
 	HintsDrained  uint64 `json:"hintsDrained,omitempty"`
@@ -115,7 +113,7 @@ type pingDoc struct {
 }
 
 // manifestDoc lists every result key this node holds (memory and
-// disk), for anti-entropy repair diffs.
+// disk), for reconcile diffs.
 type manifestDoc struct {
 	Self string   `json:"self"`
 	Keys []string `json:"keys"`
@@ -159,9 +157,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Tiers:         n.Tiers().Stats(),
 		Peers:         n.peerStates(),
 		Health:        n.health.snapshot(),
-		Hints:         n.hints.pendingCount(),
-		HintsDropped:  n.hints.droppedCount(),
-		Unreplicated:  n.hints.distinctKeys(),
+		Unreplicated:  n.unreplicated(),
 		ReplicaFills:  n.mReplicaFills.Value(),
 		ReplicasIn:    n.mReplicasIn.Value(),
 		HintsDrained:  n.mHintsDrained.Value(),
@@ -177,7 +173,7 @@ func (s *Server) handlePing(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, pingDoc{Self: s.Node.Self()})
 }
 
-// handleManifest lists this node's cached result keys for repair.
+// handleManifest lists this node's cached result keys for reconcile.
 func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, manifestDoc{
 		Self: s.Node.Self(),

@@ -210,6 +210,7 @@ func TestParsePlanRejectsGarbage(t *testing.T) {
 		"nope",
 		"unknown-kind=0.5",
 		"disk-read=1.5",
+		"disk-read=NaN", // would parse, then read as "not enabled" and inject nothing
 		"disk-read=x",
 		"disk-read=0.5:0",
 		"slow=0.5@-3ms",

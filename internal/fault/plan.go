@@ -82,7 +82,7 @@ func parseRule(val string) (Rule, error) {
 		val = prob
 	}
 	prob, err := strconv.ParseFloat(val, 64)
-	if err != nil || prob < 0 || prob > 1 {
+	if err != nil || !(prob >= 0 && prob <= 1) { // NaN fails both comparisons
 		return Rule{}, fmt.Errorf("bad probability %q (want 0..1)", val)
 	}
 	r.Prob = prob

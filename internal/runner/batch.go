@@ -37,7 +37,7 @@ func batchEligible(j *Job) bool { return len(j.Workloads) == 1 && j.Sample == ni
 // planUnits partitions the pending job indexes into execution units.
 // With batching off every unit is a singleton, preserving the scalar
 // scheduler exactly. With it on, eligible jobs group by batchKey in
-// first-appearance order and oversized groups split at BatchSize, so
+// first-appearance order and oversized groups split at batchSize, so
 // unit order (and therefore journal and cache fill order) is a
 // deterministic function of the job list.
 func (e *Engine) planUnits(jobs []Job, pending []int) [][]int {
@@ -65,12 +65,11 @@ func (e *Engine) planUnits(jobs []Job, pending []int) [][]int {
 		}
 		groups[gi] = append(groups[gi], i)
 	}
-	size := e.opts.BatchSize
 	var units [][]int
 	for _, g := range groups {
-		for len(g) > size {
-			units = append(units, g[:size])
-			g = g[size:]
+		for len(g) > batchSize {
+			units = append(units, g[:batchSize])
+			g = g[batchSize:]
 		}
 		if len(g) > 0 {
 			units = append(units, g)
@@ -228,7 +227,7 @@ func (e *Engine) batchProtected(ctx context.Context, jobs []Job, pend []int, w *
 		return nil, err
 	}
 	j0 := &jobs[pend[0]]
-	m, err := e.opts.Traces.Materialize(w, j0.Warmup+j0.Insts)
+	m, err := e.traces.Materialize(w, j0.Warmup+j0.Insts)
 	if err != nil {
 		return nil, err
 	}

@@ -58,30 +58,34 @@ func TestBatchEngineMatchesScalar(t *testing.T) {
 }
 
 // TestPlanUnits pins the grouping policy: first-appearance order,
-// BatchSize splitting, MP jobs as singletons, and exact passthrough
-// when batching is off.
+// splitting at batchSize (8), MP jobs as singletons, and exact
+// passthrough when batching is off.
 func TestPlanUnits(t *testing.T) {
 	cfg := config.BaselineExclusive()
 	jobs := []Job{
 		STJob(cfg, "mcf", 100, 10),                    // 0: group A
 		STJob(cfg, "hmmer", 100, 10),                  // 1: group B
 		MPJob(cfg, []string{"mcf", "hmmer"}, 100, 10), // 2: always scalar
-		STJob(cfg, "mcf", 100, 10),                    // 3: group A
-		STJob(cfg, "mcf", 200, 10),                    // 4: own group (insts differ)
-		STJob(cfg, "mcf", 100, 10),                    // 5: group A
+		STJob(cfg, "mcf", 200, 10),                    // 3: own group (insts differ)
 	}
-	pending := []int{0, 1, 2, 3, 4, 5}
+	for len(jobs) < 13 {
+		jobs = append(jobs, STJob(cfg, "mcf", 100, 10)) // 4-12: group A, 10 jobs in all
+	}
+	pending := make([]int, len(jobs))
+	for i := range pending {
+		pending[i] = i
+	}
 
 	scalar := New(Options{Workers: 1})
 	if got := scalar.planUnits(jobs, pending); len(got) != len(pending) {
 		t.Fatalf("scalar planUnits made %d units, want %d singletons", len(got), len(pending))
 	}
 
-	batch := New(Options{Workers: 1, Batch: true, BatchSize: 2})
+	batch := New(Options{Workers: 1, Batch: true})
 	got := batch.planUnits(jobs, pending)
-	want := [][]int{{0, 3}, {5}, {1}, {2}, {4}}
+	want := [][]int{{0, 4, 5, 6, 7, 8, 9, 10}, {11, 12}, {1}, {2}, {3}}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("planUnits = %v, want %v (group A split at BatchSize=2)", got, want)
+		t.Errorf("planUnits = %v, want %v (group A split at batchSize=8)", got, want)
 	}
 }
 

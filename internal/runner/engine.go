@@ -69,13 +69,6 @@ type Options struct {
 	// per-job cache keys and journal records; any batch-level error
 	// falls back to scalar execution job by job.
 	Batch bool
-	// BatchSize caps the configurations per RunBatch call; <=0 means
-	// DefaultBatchSize.
-	BatchSize int
-	// Traces is the shared trace store the batch path materializes
-	// through; nil (with Batch or Sample set) creates a memory-only
-	// store.
-	Traces *trace.Store
 	// Sample resolves eligible single-workload jobs by representative-
 	// interval sampling: profile once per workload, cluster intervals,
 	// simulate only cluster representatives from a warm-state snapshot
@@ -94,10 +87,10 @@ type Options struct {
 	Snapshots *sample.Store
 }
 
-// DefaultBatchSize is the lock-step group width when Options.BatchSize
-// is unset: wide enough to amortize the trace decode, narrow enough
-// that the batch's combined simulator state stays cache-resident.
-const DefaultBatchSize = 8
+// batchSize caps the configurations per RunBatch call: wide enough to
+// amortize the trace decode, narrow enough that the batch's combined
+// simulator state stays cache-resident.
+const batchSize = 8
 
 // Engine shards jobs across a bounded worker pool. Each execution
 // builds a private core.System (System is not goroutine-safe and warm
@@ -112,6 +105,9 @@ type Engine struct {
 	// substitute it to force sampling failures.
 	sampleRun func(*Job) ([]core.Result, error)
 
+	// traces is the one memory-only trace store the batch path and the
+	// sampler share (nil when neither Batch nor Sample is on).
+	traces *trace.Store
 	// sampler resolves sampled jobs (nil when Options.Sample is off).
 	sampler *sample.Planner
 
@@ -156,18 +152,15 @@ func New(opts Options) *Engine {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.BatchSize <= 0 {
-		opts.BatchSize = DefaultBatchSize
-	}
-	if (opts.Batch || opts.Sample) && opts.Traces == nil {
-		opts.Traces = trace.NewStore("")
-	}
 	if opts.Sample && opts.Snapshots == nil {
 		opts.Snapshots = sample.NewStore("")
 	}
 	e := &Engine{opts: opts, drain: make(chan struct{})}
+	if opts.Batch || opts.Sample {
+		e.traces = trace.NewStore("")
+	}
 	if opts.Sample {
-		e.sampler = sample.NewPlanner(opts.Traces, opts.Snapshots)
+		e.sampler = sample.NewPlanner(e.traces, opts.Snapshots)
 	}
 	e.sampleRun = e.runSampled
 	e.simulate = func(j *Job) ([]core.Result, error) {

@@ -79,7 +79,7 @@ func TestHealthz(t *testing.T) {
 func TestHealthzClusterLine(t *testing.T) {
 	e := New(Options{Workers: 1, Cache: NewCache("")})
 	s := &Server{Engine: e, Resolve: testResolve,
-		ClusterInfo: func() string { return "replicas=2 live=2 suspect=0 down=1 hints=3 unreplicated=3" }}
+		ClusterInfo: func() string { return "replicas=2 live=2 suspect=0 down=1 unreplicated=3" }}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -95,7 +95,7 @@ func TestHealthzClusterLine(t *testing.T) {
 		}
 		return body
 	}
-	if got := get(ts.URL)["cluster"]; got != "replicas=2 live=2 suspect=0 down=1 hints=3 unreplicated=3" {
+	if got := get(ts.URL)["cluster"]; got != "replicas=2 live=2 suspect=0 down=1 unreplicated=3" {
 		t.Fatalf("healthz cluster line = %v", got)
 	}
 
