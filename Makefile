@@ -33,10 +33,9 @@ partition-smoke:
 
 # fuzz-smoke runs every native fuzz target for a short -fuzztime
 # beyond its seed corpus (which plain `go test` already replays): the
-# trace and warm-snapshot decoders and the fault-plan parser. Go
-# fuzzes one target per invocation, hence one line per target.
+# warm-snapshot decoder and the fault-plan parser. Go fuzzes one
+# target per invocation, hence one line per target.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTrace$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWarm$$' -fuzztime 10s ./internal/sample
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 10s ./internal/fault
 

@@ -5,19 +5,8 @@ import (
 
 	"catch/internal/config"
 	"catch/internal/telemetry"
-	"catch/internal/trace"
 	"catch/internal/workloads"
 )
-
-// stepN drives n instructions through core 0 of sys, exactly as the
-// RunST inner loop does.
-func stepN(sys *System, gen trace.Generator, in *trace.Inst, n int) {
-	c := sys.Sims[0]
-	for i := 0; i < n; i++ {
-		gen.Next(in)
-		c.CPU.Step(in)
-	}
-}
 
 // steadyStateAllocs warms a system up on a workload, then measures heap
 // allocations across further simulation batches. A non-nil tracer is
@@ -33,14 +22,11 @@ func steadyStateAllocs(t *testing.T, cfg config.SystemConfig, workload string, t
 	if tr != nil {
 		sys.AttachTracer(tr)
 	}
-	gen := w.NewGen()
-	sys.Sims[0].SetWorkload(gen)
-	var in trace.Inst
 	// Warm up long enough for every learned structure (detector buffer,
 	// TACT tables, MSHRs, stream trackers) to reach its steady footprint.
-	stepN(sys, gen, &in, 60_000)
+	sys.WarmupST(w.NewGen(), 60_000)
 	return testing.AllocsPerRun(5, func() {
-		stepN(sys, gen, &in, 10_000)
+		sys.StepST(10_000)
 	})
 }
 

@@ -42,10 +42,10 @@ type CoreSim struct {
 	streamBuf []uint64          //catch:nosnap per-step scratch, dead between instructions
 	lastLine  uint64
 
-	// batchIn is the lock-step kernel's scratch record for predictor
-	// cores: Step's pointer argument escapes (it flows into the Ports
-	// closures), so a stack local in stepChunk would heap-allocate once
-	// per chunk. A field on the already-heap CoreSim does not.
+	// batchIn is the scratch record StepST and the lock-step kernel's
+	// predictor cores step: Step's pointer argument escapes (it flows
+	// into the Ports closures), so a stack local would heap-allocate
+	// once per call. A field on the already-heap CoreSim does not.
 	batchIn trace.Inst //catch:nosnap per-step scratch, dead between instructions
 
 	convDone uint64
@@ -258,11 +258,7 @@ func (c *CoreSim) onRetire(r *cpu.Retired) {
 // it provides one) to the core, and pre-populates the LLC with the
 // workload's declared steady-state-resident regions.
 func (c *CoreSim) SetWorkload(gen trace.Generator) {
-	c.gen = gen
-	c.values = nil
-	if vs, ok := gen.(trace.ValueSource); ok {
-		c.values = vs
-	}
+	c.attach(gen)
 	if pw, ok := gen.(trace.Prewarmer); ok {
 		for _, reg := range pw.PrewarmRegions() {
 			for a := reg.Base; a < reg.Base+reg.Size; a += trace.CacheLineSize {
@@ -270,6 +266,13 @@ func (c *CoreSim) SetWorkload(gen trace.Generator) {
 			}
 		}
 	}
+}
+
+// attach makes gen the core's instruction source and its
+// memory-content oracle, if it provides one.
+func (c *CoreSim) attach(gen trace.Generator) {
+	c.gen = gen
+	c.values, _ = gen.(trace.ValueSource)
 }
 
 // resetStats zeroes measurement counters after warmup (timing and
@@ -358,7 +361,8 @@ func (s *System) RunST(gen trace.Generator, insts, warmup int64) Result {
 
 // RunMP runs one workload per core, interleaved in rough time order,
 // until every core has retired insts instructions past its warmup.
-// Returns one Result per core.
+// Returns one Result per core. A warmup of 0 measures every core from
+// its first instruction, as RunST does.
 func (s *System) RunMP(gens []trace.Generator, insts, warmup int64) []Result {
 	n := len(gens)
 	if n > len(s.Sims) {
@@ -372,6 +376,16 @@ func (s *System) RunMP(gens []trace.Generator, insts, warmup int64) []Result {
 	st := make([]state, n)
 	for i := 0; i < n; i++ {
 		s.Sims[i].SetWorkload(gens[i])
+	}
+	if warmup <= 0 {
+		// Every core starts warm and measures from its first
+		// instruction, as RunST does. The boundary check below runs
+		// only after a step, so it would warm each core by one.
+		for i := range st {
+			st[i].warm = true
+			s.Sims[i].resetStats()
+		}
+		s.resetSharedStats()
 	}
 	var in trace.Inst
 	active := n

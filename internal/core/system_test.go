@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"catch/internal/cache"
@@ -212,6 +213,26 @@ func TestRunMPResetsSharedStatsAtWarmup(t *testing.T) {
 	for i := 1; i < 4; i++ {
 		if warmed[i].LLC != warmed[0].LLC {
 			t.Fatalf("core %d reports different shared LLC stats", i)
+		}
+	}
+}
+
+// TestRunMPOneCoreMatchesRunST pins RunMP's warmup boundary to
+// RunST's: on one core the two drivers must return deeply equal
+// results at every warmup, including 0, where both measure from the
+// first instruction.
+func TestRunMPOneCoreMatchesRunST(t *testing.T) {
+	const insts = 10_000
+	w, _ := workloads.ByName("mcf")
+	base := config.BaselineExclusive()
+	for _, cfg := range []config.SystemConfig{base, config.WithCATCH(base, "catch")} {
+		for _, warmup := range []int64{0, 1, 5_000} {
+			mp := NewSystem(cfg).RunMP([]trace.Generator{w.NewGen()}, insts, warmup)
+			st := NewSystem(cfg).RunST(w.NewGen(), insts, warmup)
+			if !reflect.DeepEqual(mp[0], st) {
+				t.Errorf("%s, warmup %d: RunMP differs from RunST (cycles %d vs %d)",
+					cfg.Name, warmup, mp[0].Cycles, st.Cycles)
+			}
 		}
 	}
 }

@@ -30,27 +30,15 @@ type Window struct {
 // WarmupST attaches gen to core 0 (prewarming the LLC with the
 // workload's declared resident regions) and runs the warmup phase.
 func (s *System) WarmupST(gen trace.Generator, warmup int64) {
-	c := s.Sims[0]
-	c.SetWorkload(gen)
-	var in trace.Inst
-	for i := int64(0); i < warmup; i++ {
-		gen.Next(&in)
-		c.CPU.Step(&in)
-	}
+	s.Sims[0].SetWorkload(gen)
+	s.StepST(warmup)
 }
 
 // AttachST attaches gen to core 0 without prewarming the LLC. It is
 // the restore-path counterpart of SetWorkload: a restored snapshot
 // already contains the prewarm fills (and everything the warmup run
 // did to them), so re-prewarming would corrupt the image.
-func (s *System) AttachST(gen trace.Generator) {
-	c := s.Sims[0]
-	c.gen = gen
-	c.values = nil
-	if vs, ok := gen.(trace.ValueSource); ok {
-		c.values = vs
-	}
-}
+func (s *System) AttachST(gen trace.Generator) { s.Sims[0].attach(gen) }
 
 // BeginMeasure performs the warmup-boundary reset on core 0 and the
 // shared LLC/DRAM/ring counters, opening a measurement window.

@@ -10,8 +10,8 @@ import (
 
 // NewKeyCoverage builds the analyzer that proves content keys see
 // every behavior-affecting field. Key-derivation functions are marked
-// //catch:keyfn (Job.Key, ConfigFingerprint, the trace and sample
-// store path functions). For each keyfn:
+// //catch:keyfn (Job.Key, ConfigFingerprint, the sample store path
+// function). For each keyfn:
 //
 //   - every struct type passed to json.Marshal is walked recursively:
 //     an unexported field or a json:"-" field is invisible to the

@@ -2,13 +2,10 @@ package runner
 
 import (
 	"context"
-	"fmt"
-	"runtime/debug"
 	"time"
 
 	"catch/internal/config"
 	"catch/internal/core"
-	"catch/internal/trace"
 )
 
 // The batch scheduler groups a sweep's single-thread jobs by the
@@ -167,12 +164,12 @@ func (e *Engine) runBatchUnit(ctx context.Context, jobs []Job, unit []int, out [
 }
 
 // batchAttempt runs one bounded lock-step execution over the pending
-// jobs, returning one result set per job. It mirrors the scalar
-// attempt's timeout semantics: on timeout the goroutine is abandoned to
-// finish and the unit is reported as timed out (the caller's scalar
-// fallback then owns the jobs). The injected-fault site is the first
-// pending job's key, so chaos schedules hit batch units
-// deterministically.
+// jobs, returning one result set per job: it materializes the unit's
+// trace and runs the lock-step kernel with the scalar attempt's fault
+// hooks, panic containment and timeout. A failed attempt is not
+// retried here; the caller's scalar fallback then owns the jobs. The
+// injected-fault site is the first pending job's key, so chaos
+// schedules hit batch units deterministically.
 func (e *Engine) batchAttempt(ctx context.Context, jobs []Job, pend []int) ([][]core.Result, error) {
 	for _, i := range pend {
 		if err := jobs[i].Validate(); err != nil {
@@ -185,63 +182,24 @@ func (e *Engine) batchAttempt(ctx context.Context, jobs []Job, pend []int) ([][]
 		return nil, err
 	}
 	w := ws[0]
-	site := j0.Key()
 	e.executed.Add(uint64(len(pend)))
-	if e.opts.Timeout <= 0 && ctx.Done() == nil && e.opts.Fault == nil {
-		return e.batchProtected(ctx, jobs, pend, &w, site)
-	}
-	type outcome struct {
-		rs  [][]core.Result
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		rs, err := e.batchProtected(ctx, jobs, pend, &w, site)
-		ch <- outcome{rs, err}
-	}()
-	var timeout <-chan time.Time
-	if e.opts.Timeout > 0 {
-		t := time.NewTimer(e.opts.Timeout)
-		defer t.Stop()
-		timeout = t.C
-	}
-	select {
-	case o := <-ch:
-		return o.rs, o.err
-	case <-timeout:
-		return nil, fmt.Errorf("batch unit timed out after %v", e.opts.Timeout)
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// batchProtected materializes the unit's trace and runs the lock-step
-// kernel with the engine's fault hooks and panic containment.
-func (e *Engine) batchProtected(ctx context.Context, jobs []Job, pend []int, w *trace.Workload, site string) (rs [][]core.Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			rs, err = nil, &PanicError{Value: p, Stack: debug.Stack()}
+	return bounded(ctx, e, j0.Key(), func() ([][]core.Result, error) {
+		m, err := e.traces.Materialize(&w, j0.Warmup+j0.Insts)
+		if err != nil {
+			return nil, err
 		}
-	}()
-	if err := e.injectFaults(ctx, site); err != nil {
-		return nil, err
-	}
-	j0 := &jobs[pend[0]]
-	m, err := e.traces.Materialize(w, j0.Warmup+j0.Insts)
-	if err != nil {
-		return nil, err
-	}
-	cfgs := make([]config.SystemConfig, len(pend))
-	for k, i := range pend {
-		cfgs[k] = jobs[i].Config
-	}
-	flat, err := core.RunBatch(m, cfgs, j0.Insts, j0.Warmup)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]core.Result, len(flat))
-	for k := range flat {
-		out[k] = []core.Result{flat[k]}
-	}
-	return out, nil
+		cfgs := make([]config.SystemConfig, len(pend))
+		for k, i := range pend {
+			cfgs[k] = jobs[i].Config
+		}
+		flat, err := core.RunBatch(m, cfgs, j0.Insts, j0.Warmup)
+		if err != nil {
+			return nil, err
+		}
+		out := make([][]core.Result, len(flat))
+		for k := range flat {
+			out[k] = []core.Result{flat[k]}
+		}
+		return out, nil
+	})
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"catch/internal/config"
 	"catch/internal/core"
 	"catch/internal/fault"
 )
@@ -33,36 +34,45 @@ func flattenJSON(t *testing.T, e *Engine, ctx context.Context, jobs []Job) []byt
 // failures, panics, artificial slowness) over a real small sweep
 // produces byte-identical Flatten output to the fault-free run,
 // because every injected fault is transient and the retry/quarantine/
-// breaker machinery recovers it.
+// breaker machinery recovers it. Each seed runs once through the
+// scalar scheduler and once through the batch scheduler, whose units
+// fall back to scalar execution when a fault hits them.
 func TestChaosDeterminismUnderFaults(t *testing.T) {
 	jobs := testJobs()
 	ref := flattenJSON(t, New(Options{Workers: 2}), context.Background(), jobs)
 
+	var fallbacks uint64
 	for _, seed := range []uint64{1, 7, 42} {
-		inj := fault.NewInjector(fault.Plan{Seed: seed, Rules: map[fault.Kind]fault.Rule{
-			fault.DiskRead:  {Prob: 0.5},
-			fault.DiskWrite: {Prob: 0.5},
-			fault.Corrupt:   {Prob: 0.5},
-			fault.Exec:      {Prob: 0.5},
-			fault.Panic:     {Prob: 0.3},
-			fault.Slow:      {Prob: 0.5, Delay: time.Millisecond},
-		}})
-		cache := NewCacheOpts(CacheOptions{
-			Dir:     t.TempDir(),
-			FS:      fault.InjectFS{FS: fault.OS{}, Inj: inj},
-			Breaker: fault.NewBreaker(3, 4),
-		})
-		e := New(Options{
-			Workers: 3, Cache: cache, Retries: 3, Fault: inj,
-			Backoff: fault.Backoff{Base: 50 * time.Microsecond, Seed: seed},
-		})
-		got := flattenJSON(t, e, context.Background(), jobs)
-		if string(got) != string(ref) {
-			t.Fatalf("seed %d: output under faults diverged from fault-free run", seed)
+		for _, batch := range []bool{false, true} {
+			inj := fault.NewInjector(fault.Plan{Seed: seed, Rules: map[fault.Kind]fault.Rule{
+				fault.DiskRead:  {Prob: 0.5},
+				fault.DiskWrite: {Prob: 0.5},
+				fault.Corrupt:   {Prob: 0.5},
+				fault.Exec:      {Prob: 0.5},
+				fault.Panic:     {Prob: 0.3},
+				fault.Slow:      {Prob: 0.5, Delay: time.Millisecond},
+			}})
+			cache := NewCacheOpts(CacheOptions{
+				Dir:     t.TempDir(),
+				FS:      fault.InjectFS{FS: fault.OS{}, Inj: inj},
+				Breaker: fault.NewBreaker(3, 4),
+			})
+			e := New(Options{
+				Workers: 3, Cache: cache, Retries: 3, Fault: inj, Batch: batch,
+				Backoff: fault.Backoff{Base: 50 * time.Microsecond, Seed: seed},
+			})
+			got := flattenJSON(t, e, context.Background(), jobs)
+			if string(got) != string(ref) {
+				t.Fatalf("seed %d, batch %v: output under faults diverged from fault-free run", seed, batch)
+			}
+			if inj.TotalInjected() == 0 {
+				t.Fatalf("seed %d, batch %v: the chaos run injected nothing", seed, batch)
+			}
+			fallbacks += e.BatchFallbacks()
 		}
-		if inj.TotalInjected() == 0 {
-			t.Fatalf("seed %d: the chaos run injected nothing", seed)
-		}
+	}
+	if fallbacks == 0 {
+		t.Fatal("no fault hit a batch unit: the batch fallback path went untested")
 	}
 }
 
@@ -158,5 +168,39 @@ func TestChaosHangRecoversViaTimeout(t *testing.T) {
 	}
 	if inj.Injected(fault.Hang) != 1 {
 		t.Fatalf("hangs injected = %d", inj.Injected(fault.Hang))
+	}
+}
+
+// TestChaosBatchHangFallsBack: a hang injected into a lock-step batch
+// unit is bounded by the per-attempt timeout, and the unit's jobs then
+// complete through the scalar path with output byte-identical to a
+// fault-free run. The hang is matched to the unit's site (its first
+// job's key), so it fires once, on the batch attempt, and the scalar
+// run of that job finds the site healed.
+func TestChaosBatchHangFallsBack(t *testing.T) {
+	cfg := config.BaselineExclusive()
+	jobs := []Job{
+		STJob(cfg, "hmmer", tInsts, tWarmup),
+		STJob(config.WithCATCH(cfg, "catch"), "hmmer", tInsts, tWarmup),
+	}
+	ref := flattenJSON(t, New(Options{Workers: 1}), context.Background(), jobs)
+
+	inj := fault.NewInjector(fault.Plan{Seed: 3, Rules: map[fault.Kind]fault.Rule{
+		fault.Hang: {Prob: 1, Match: jobs[0].Key()},
+	}})
+	e := New(Options{Workers: 1, Batch: true, Timeout: 500 * time.Millisecond, Fault: inj})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel() // releases the hung goroutine
+	if got := flattenJSON(t, e, ctx, jobs); string(got) != string(ref) {
+		t.Fatal("output after the batch hang diverged from the fault-free run")
+	}
+	if n := inj.Injected(fault.Hang); n != 1 {
+		t.Fatalf("hangs injected = %d, want 1", n)
+	}
+	if n := e.BatchFallbacks(); n != 1 {
+		t.Fatalf("batch fallbacks = %d, want 1", n)
+	}
+	if n := e.Batched(); n != 0 {
+		t.Fatalf("batched = %d, want 0: the hung unit must not report results", n)
 	}
 }

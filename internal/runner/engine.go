@@ -436,25 +436,45 @@ func (e *Engine) attempts(ctx context.Context, j *Job, site string, jr *JobResul
 	return nil, last
 }
 
-// attempt runs one bounded execution. The simulation itself is pure CPU
-// and cannot be interrupted mid-run, so on timeout the goroutine is
-// abandoned to finish (and be discarded) while the job is reported as
-// timed out — the bounded retry/error path keeps a straggler from
-// wedging the whole sweep.
+// attempt runs one bounded execution of j's simulation.
 func (e *Engine) attempt(ctx context.Context, j *Job, site string) ([]core.Result, error) {
+	e.executed.Inc()
+	return bounded(ctx, e, site, func() ([]core.Result, error) { return e.simulate(j) })
+}
+
+// bounded runs run once under the engine's fault hooks for site, panic
+// containment and the per-attempt timeout. A simulation is pure CPU
+// and cannot be interrupted mid-run, so on timeout the goroutine is
+// abandoned to finish (and be discarded) while the attempt is reported
+// as timed out — the bounded retry/error path keeps a straggler from
+// wedging the whole sweep. An injected hang blocks until the context
+// ends, so chaos runs need a cancelable context or a per-attempt
+// Timeout (the abandoned goroutine drains once the sweep's context is
+// done). The recover backstops test stubs and injected panics; real
+// simulations already recover inside Job.Execute.
+func bounded[T any](ctx context.Context, e *Engine, site string, run func() (T, error)) (T, error) {
+	protected := func() (v T, err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				err = &PanicError{Value: p, Stack: debug.Stack()}
+			}
+		}()
+		if err := e.injectFaults(ctx, site); err != nil {
+			return v, err
+		}
+		return run()
+	}
 	if e.opts.Timeout <= 0 && ctx.Done() == nil && e.opts.Fault == nil {
-		e.executed.Inc()
-		return e.protectedSimulate(ctx, j, site)
+		return protected()
 	}
 	type outcome struct {
-		rs  []core.Result
+		v   T
 		err error
 	}
 	ch := make(chan outcome, 1)
-	e.executed.Inc()
 	go func() {
-		rs, err := e.protectedSimulate(ctx, j, site)
-		ch <- outcome{rs, err}
+		v, err := protected()
+		ch <- outcome{v, err}
 	}()
 	var timeout <-chan time.Time
 	if e.opts.Timeout > 0 {
@@ -462,32 +482,15 @@ func (e *Engine) attempt(ctx context.Context, j *Job, site string) ([]core.Resul
 		defer t.Stop()
 		timeout = t.C
 	}
+	var zero T
 	select {
 	case o := <-ch:
-		return o.rs, o.err
+		return o.v, o.err
 	case <-timeout:
-		return nil, fmt.Errorf("timed out after %v", e.opts.Timeout)
+		return zero, fmt.Errorf("timed out after %v", e.opts.Timeout)
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return zero, ctx.Err()
 	}
-}
-
-// protectedSimulate runs one simulation with the engine's fault hooks
-// and panic containment. An injected hang blocks until the context
-// ends, so chaos runs need a cancelable context or a per-attempt
-// Timeout (the abandoned goroutine drains once the sweep's context is
-// done). The recover here backstops test stubs and injected panics;
-// real simulations already recover inside Job.Execute.
-func (e *Engine) protectedSimulate(ctx context.Context, j *Job, site string) (rs []core.Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			rs, err = nil, &PanicError{Value: p, Stack: debug.Stack()}
-		}
-	}()
-	if err := e.injectFaults(ctx, site); err != nil {
-		return nil, err
-	}
-	return e.simulate(j)
 }
 
 // injectFaults applies the configured injector's slow, hang, panic and

@@ -43,13 +43,13 @@ type StoreStats struct {
 	BadDisk   uint64 `json:"badDisk"` // corrupted on-disk snapshots replaced by a fresh warmup
 }
 
-// Store is a content-addressed memo of warm-state snapshots, built on
-// the same pieces as trace.Store: each key is warmed at most once per
-// process (concurrent requests coalesce onto a single warmup), and with
-// a directory configured images persist as flat binary files so later
-// processes skip the warmup simulation entirely. The disk layer is an
-// optimization: every I/O failure degrades to warming in memory, and a
-// corrupt file is quarantined and regenerated.
+// Store is a content-addressed memo of warm-state snapshots: each key
+// is warmed at most once per process (concurrent requests coalesce onto
+// a single warmup), and with a directory configured images persist as
+// flat binary files so later processes skip the warmup simulation
+// entirely. The disk layer is an optimization: every I/O failure
+// degrades to warming in memory, and a corrupt file is quarantined and
+// regenerated.
 type Store struct {
 	mem  memo.Group[warmKey, []byte]
 	disk *memo.Disk

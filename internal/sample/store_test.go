@@ -91,9 +91,9 @@ var corruptions = []struct {
 	{"empty", func(b []byte) []byte { return nil }},
 }
 
-// TestStoreCorruptionRegenerates mirrors the trace store's corruption
-// tests: a truncated or bit-flipped snapshot file is detected,
-// quarantined to *.corrupt and regenerated with the correct contents.
+// TestStoreCorruptionRegenerates: a truncated or bit-flipped snapshot
+// file is detected, quarantined to *.corrupt and regenerated with the
+// correct contents.
 func TestStoreCorruptionRegenerates(t *testing.T) {
 	const warmup = 1_000
 	cfg, w, m := warmInputs(t, warmup)

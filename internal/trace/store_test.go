@@ -3,8 +3,6 @@
 package trace_test
 
 import (
-	"os"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -111,9 +109,9 @@ func TestReplayNextAllocs(t *testing.T) {
 }
 
 // TestStoreCoalescing proves concurrent requests for one key share a
-// single recording and a single in-memory copy.
+// single recording and a single in-memory copy, on a zero-value store.
 func TestStoreCoalescing(t *testing.T) {
-	store := trace.NewStore("")
+	var store trace.Store
 	w, _ := workloads.ByName("mcf")
 	const callers = 8
 	ms := make([]*trace.Materialized, callers)
@@ -135,88 +133,6 @@ func TestStoreCoalescing(t *testing.T) {
 		if ms[k] != ms[0] {
 			t.Fatalf("caller %d got a different Materialized copy", k)
 		}
-	}
-	if st := store.Stats(); st.Recorded != 1 {
-		t.Fatalf("recorded %d traces for one key, want 1 (stats %+v)", st.Recorded, st)
-	}
-}
-
-// TestStoreDiskRoundtrip proves a persisted recording is decoded
-// byte-identically by a later store over the same directory.
-func TestStoreDiskRoundtrip(t *testing.T) {
-	dir := t.TempDir()
-	w, _ := workloads.ByName("xalancbmk")
-	first, err := trace.NewStore(dir).Materialize(&w, 1_500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second := trace.NewStore(dir)
-	m, err := second.Materialize(&w, 1_500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := second.Stats(); st.DiskHits != 1 || st.Recorded != 0 {
-		t.Fatalf("second store stats %+v, want exactly one disk hit and no recording", st)
-	}
-	if !reflect.DeepEqual(m.Insts(), first.Insts()) {
-		t.Fatal("disk-loaded instructions differ from the recording")
-	}
-	// The disk path rebuilds the value source from a fresh Build; it
-	// must answer exactly as the recording generation's.
-	for _, in := range m.Insts() {
-		if !in.IsMem() {
-			continue
-		}
-		fv, fok := first.NewReplay().ValueAt(in.Addr)
-		sv, sok := m.NewReplay().ValueAt(in.Addr)
-		if fv != sv || fok != sok {
-			t.Fatalf("ValueAt(%#x): disk (%d, %v), recorded (%d, %v)", in.Addr, sv, sok, fv, fok)
-		}
-	}
-}
-
-// TestStoreCorruptDisk proves a damaged file is detected, quarantined
-// to *.corrupt, replaced by a fresh recording, and that the
-// replacement is loadable again.
-func TestStoreCorruptDisk(t *testing.T) {
-	dir := t.TempDir()
-	w, _ := workloads.ByName("mcf")
-	first, err := trace.NewStore(dir).Materialize(&w, 800)
-	if err != nil {
-		t.Fatal(err)
-	}
-	files, err := filepath.Glob(filepath.Join(dir, "*.trace"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("trace files = %v (err %v), want exactly one", files, err)
-	}
-	raw, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0xff
-	if err := os.WriteFile(files[0], raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	second := trace.NewStore(dir)
-	m, err := second.Materialize(&w, 800)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := second.Stats(); st.BadDisk != 1 || st.Recorded != 1 {
-		t.Fatalf("stats after corruption %+v, want one bad entry and one fresh recording", st)
-	}
-	if q, err := os.ReadFile(files[0] + ".corrupt"); err != nil || string(q) != string(raw) {
-		t.Fatalf("damaged file not quarantined to *.corrupt (err %v)", err)
-	}
-	if !reflect.DeepEqual(m.Insts(), first.Insts()) {
-		t.Fatal("re-recorded instructions differ from the original")
-	}
-	third := trace.NewStore(dir)
-	if _, err := third.Materialize(&w, 800); err != nil {
-		t.Fatal(err)
-	}
-	if st := third.Stats(); st.DiskHits != 1 {
-		t.Fatalf("stats after rewrite %+v, want the replacement to load from disk", st)
 	}
 }
 
