@@ -33,11 +33,13 @@ partition-smoke:
 
 # fuzz-smoke runs every native fuzz target for a short -fuzztime
 # beyond its seed corpus (which plain `go test` already replays): the
-# warm-snapshot decoder and the fault-plan parser. Go fuzzes one
-# target per invocation, hence one line per target.
+# warm-snapshot decoder, the fault-plan parser and the benchmark-output
+# parser. Go fuzzes one target per invocation, hence one line per
+# target.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWarm$$' -fuzztime 10s ./internal/sample
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 10s ./internal/fault
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/perf
 
 # sample-smoke proves representative-interval sampling stays honest:
 # the fig13 grid run through a sampling engine must reproduce every

@@ -58,10 +58,11 @@ type Cache struct {
 	lines  []Line
 	tick   int64
 	policy Policy // nil = built-in LRU
-	// setMask is Sets-1 when Sets is a power of two (the common case):
-	// the per-access set index is then a mask instead of a modulo. A
-	// zero mask with Sets > 1 selects the modulo fallback (e.g. the
-	// 6.5MB LLC of the iso-area studies).
+	// setMask is Sets-1 when Sets is a power of two: the per-access set
+	// index is then a mask instead of a modulo. Every registered L1, L2
+	// and LLC geometry has a power-of-two set count (the 6.5MB, 13-way
+	// LLC has 8192 sets), so a zero mask with Sets > 1, which selects
+	// the modulo fallback, serves only custom geometries.
 	setMask uint64 //catch:nosnap derived from Sets at construction
 	Stats   Stats
 }

@@ -5,6 +5,7 @@ import (
 	"catch/internal/memory"
 	"catch/internal/stats"
 	"catch/internal/telemetry"
+	"catch/internal/trace"
 )
 
 // HitLevel identifies where an access was served from.
@@ -528,15 +529,69 @@ func (h *Hierarchy) fillLLC(la uint64, fillTime int64, dirty bool, pf PrefetchID
 	}
 }
 
-// PrewarmLine installs a line directly into the LLC at time zero,
-// bypassing the demand path (used to emulate the steady-state cache
-// residency a much longer run would reach).
-func (h *Hierarchy) PrewarmLine(addr uint64) {
-	la := LineAddr(addr)
-	if h.LLC.Probe(la) != nil {
+// Prewarm installs every line of regs directly into the LLC at time
+// zero, bypassing the demand path (used to emulate the steady-state
+// cache residency a much longer run would reach). Lines are installed
+// in order and a line already resident is skipped, so the result
+// equals probing and filling each line in turn.
+//
+// The LLC must be untouched: no fill or hit yet, so its clock is still
+// zero; Prewarm panics otherwise. Each set then holds only lines this
+// call installed, none touched twice, so LRU evicts them oldest first
+// and the k-th line a set receives lands in way k mod Ways without a
+// victim scan. A full set under an RRIP policy takes the ordinary fill
+// path, whose victim depends on the set's aging state.
+func (h *Hierarchy) Prewarm(regs []trace.Region) {
+	if len(regs) == 0 {
 		return
 	}
-	h.fillLLC(la, 0, false, PfNone)
+	c := h.LLC
+	if c.tick != 0 {
+		panic("cache: Prewarm on an LLC that has already been filled or hit")
+	}
+	ways := c.Cfg.Ways
+	received := make([]int32, c.Sets) // lines installed in each set so far
+	for _, r := range regs {
+		for a := r.Base; a < r.Base+r.Size; a += trace.CacheLineSize {
+			la := LineAddr(a)
+			tag := lineTag(la)
+			s := c.setIndex(tag)
+			set := c.lines[s*ways : (s+1)*ways]
+			k := int(received[s])
+			if holds(set[:min(k, ways)], tag) {
+				continue
+			}
+			received[s]++
+			if k >= ways && c.policy != nil {
+				h.fillLLC(la, 0, false, PfNone)
+				continue
+			}
+			way := k % ways
+			victim := set[way]
+			c.Stats.Fills++
+			c.tick++
+			set[way] = Line{Tag: tag, LastUse: c.tick, Valid: true}
+			if c.policy != nil {
+				c.policy.OnFill(set, way, s)
+			}
+			if victim.Valid {
+				c.Stats.Evictions++
+				if h.Inclusive && h.BackInval != nil {
+					h.BackInval(victim.Tag<<6, 0)
+				}
+			}
+		}
+	}
+}
+
+// holds reports whether one of the installed ways holds tag.
+func holds(installed []Line, tag uint64) bool {
+	for i := range installed {
+		if installed[i].Tag == tag {
+			return true
+		}
+	}
+	return false
 }
 
 // InvalidatePrivate removes addr from this core's private caches

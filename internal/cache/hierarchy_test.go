@@ -316,20 +316,6 @@ func TestFetchUsesL1I(t *testing.T) {
 	}
 }
 
-func TestPrewarmLine(t *testing.T) {
-	h := newTestHier(true, false)
-	h.PrewarmLine(0x300000)
-	if h.LLC.Probe(0x300000) == nil {
-		t.Fatal("prewarm did not fill LLC")
-	}
-	_, lvl := h.Load(0x300000, 0)
-	if lvl != HitLLC {
-		t.Fatalf("prewarmed line served from %v", lvl)
-	}
-	// Prewarm of a present line is a no-op.
-	h.PrewarmLine(0x300000 + 32) // same line
-}
-
 func TestProbeLevel(t *testing.T) {
 	h := newTestHier(true, false)
 	if h.ProbeLevel(0x400000) != HitMem {

@@ -256,16 +256,24 @@ func (c *CoreSim) onRetire(r *cpu.Retired) {
 
 // SetWorkload attaches a generator (and its memory-content oracle, if
 // it provides one) to the core, and pre-populates the LLC with the
-// workload's declared steady-state-resident regions.
+// workload's declared steady-state-resident regions. The LLC must not
+// have been filled or hit yet (see cache.Hierarchy.Prewarm).
 func (c *CoreSim) SetWorkload(gen trace.Generator) {
 	c.attach(gen)
-	if pw, ok := gen.(trace.Prewarmer); ok {
-		for _, reg := range pw.PrewarmRegions() {
-			for a := reg.Base; a < reg.Base+reg.Size; a += trace.CacheLineSize {
-				c.Hier.PrewarmLine(c.xlat(a))
-			}
-		}
+	c.Hier.Prewarm(c.prewarmRegions(nil))
+}
+
+// setWorkloads is SetWorkload for cores 0..len(gens)-1 at once: one
+// LLC prewarm covers every core's regions, in core order, because a
+// second per-core prewarm would find the LLC already filled.
+func (s *System) setWorkloads(gens []trace.Generator) {
+	var regs []trace.Region
+	for i, gen := range gens {
+		c := s.Sims[i]
+		c.attach(gen)
+		regs = c.prewarmRegions(regs)
 	}
+	s.Sims[0].Hier.Prewarm(regs)
 }
 
 // attach makes gen the core's instruction source and its
@@ -273,6 +281,17 @@ func (c *CoreSim) SetWorkload(gen trace.Generator) {
 func (c *CoreSim) attach(gen trace.Generator) {
 	c.gen = gen
 	c.values, _ = gen.(trace.ValueSource)
+}
+
+// prewarmRegions appends the attached workload's declared resident
+// regions, translated into the shared physical space, to dst.
+func (c *CoreSim) prewarmRegions(dst []trace.Region) []trace.Region {
+	if pw, ok := c.gen.(trace.Prewarmer); ok {
+		for _, r := range pw.PrewarmRegions() {
+			dst = append(dst, trace.Region{Base: c.xlat(r.Base), Size: r.Size})
+		}
+	}
+	return dst
 }
 
 // resetStats zeroes measurement counters after warmup (timing and
@@ -374,9 +393,7 @@ func (s *System) RunMP(gens []trace.Generator, insts, warmup int64) []Result {
 		done    bool
 	}
 	st := make([]state, n)
-	for i := 0; i < n; i++ {
-		s.Sims[i].SetWorkload(gens[i])
-	}
+	s.setWorkloads(gens[:n])
 	if warmup <= 0 {
 		// Every core starts warm and measures from its first
 		// instruction, as RunST does. The boundary check below runs

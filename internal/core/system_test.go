@@ -237,6 +237,43 @@ func TestRunMPOneCoreMatchesRunST(t *testing.T) {
 	}
 }
 
+// TestRunMPPrewarmMatchesPerLine pins RunMP's single prewarm pass over
+// all cores: on 4-core mixes it must leave the shared LLC deeply equal
+// to prewarming each core's regions line by line, probe then fill, in
+// core order.
+func TestRunMPPrewarmMatchesPerLine(t *testing.T) {
+	mixes := workloads.Mixes()
+	for _, base := range []config.SystemConfig{config.BaselineExclusive(), config.BaselineInclusive()} {
+		cfg := base
+		cfg.Cores = 4
+		for _, mix := range []workloads.Mix{mixes[0], mixes[len(mixes)-1]} {
+			got := NewSystem(cfg)
+			got.setWorkloads(mix.Gens())
+
+			want := NewSystem(cfg)
+			for i, gen := range mix.Gens() {
+				c := want.Sims[i]
+				for _, r := range gen.(trace.Prewarmer).PrewarmRegions() {
+					for a := r.Base; a < r.Base+r.Size; a += trace.CacheLineSize {
+						la := cache.LineAddr(c.xlat(a))
+						if want.LLC.Probe(la) == nil {
+							want.LLC.Fill(la, 0, 0, false, cache.PfNone)
+						}
+					}
+				}
+			}
+			if want.LLC.Stats.Fills == 0 {
+				t.Fatalf("%s/%s: the reference prewarmed nothing", cfg.Name, mix.Name)
+			}
+			if !reflect.DeepEqual(got.LLC, want.LLC) {
+				t.Errorf("%s/%s: RunMP's prewarm differs from per-core per-line prewarms (fills %d vs %d, evictions %d vs %d)",
+					cfg.Name, mix.Name, got.LLC.Stats.Fills, want.LLC.Stats.Fills,
+					got.LLC.Stats.Evictions, want.LLC.Stats.Evictions)
+			}
+		}
+	}
+}
+
 func TestMPCoresDoNotAlias(t *testing.T) {
 	cfg := config.BaselineExclusive()
 	cfg.Cores = 2

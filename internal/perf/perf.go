@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -38,13 +39,17 @@ type Report struct {
 
 // Parse reads `go test -bench -benchmem` output. Lines it does not
 // recognize (test logs, PASS/ok trailers) are ignored, so the raw
-// stream from the go tool can be piped in unfiltered.
+// stream from the go tool can be piped in unfiltered. A recognized
+// result line carrying a NaN, infinite or negative number is an error:
+// it would otherwise fail late, in WriteJSON, or pass a comparison it
+// should fail. Bytes that are not valid UTF-8 read as U+FFFD, which
+// keeps every accepted report exact through WriteJSON and Load.
 func Parse(r io.Reader) (Report, error) {
 	var rep Report
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
+		line := strings.TrimSpace(strings.ToValidUTF8(sc.Text(), "\uFFFD"))
 		switch {
 		case strings.HasPrefix(line, "goos:"):
 			rep.GoOS = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
@@ -62,7 +67,10 @@ func Parse(r io.Reader) (Report, error) {
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
-		res, ok := parseBenchLine(line)
+		res, ok, err := parseBenchLine(line)
+		if err != nil {
+			return rep, err
+		}
 		if !ok {
 			continue
 		}
@@ -79,11 +87,13 @@ func Parse(r io.Reader) (Report, error) {
 //	BenchmarkSimCATCH  196  12249358 ns/op  8163700 instrs/s  3676927 B/op  74 allocs/op
 //
 // The name may carry a -N GOMAXPROCS suffix; value/unit pairs may come
-// in any order and any subset.
-func parseBenchLine(line string) (Result, bool) {
+// in any order and any subset. It reports false for a line that is not
+// a result, and an error for a result whose run count or recorded
+// metric is NaN, infinite or negative.
+func parseBenchLine(line string) (Result, bool, error) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 {
-		return Result{}, false
+		return Result{}, false, nil
 	}
 	name := fields[0]
 	// Strip the GOMAXPROCS suffix (Benchmark... "-8") if present.
@@ -94,14 +104,18 @@ func parseBenchLine(line string) (Result, bool) {
 	}
 	runs, err := strconv.Atoi(fields[1])
 	if err != nil {
-		return Result{}, false
+		return Result{}, false, nil
 	}
 	res := Result{Name: name, Runs: runs}
 	seen := false
+	bad := "" // the first out-of-range number, for the error
+	if runs < 0 {
+		bad = "run count " + fields[1]
+	}
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
-			return Result{}, false
+			return Result{}, false, nil
 		}
 		switch fields[i+1] {
 		case "ns/op":
@@ -116,11 +130,17 @@ func parseBenchLine(line string) (Result, bool) {
 			continue // unknown custom metric: skip
 		}
 		seen = true
+		if bad == "" && (math.IsNaN(v) || math.IsInf(v, 0) || v < 0) {
+			bad = fields[i] + " " + fields[i+1]
+		}
 	}
 	if !seen {
-		return Result{}, false
+		return Result{}, false, nil
 	}
-	return res, true
+	if bad != "" {
+		return Result{}, false, fmt.Errorf("perf: %s out of range in benchmark line %q", bad, line)
+	}
+	return res, true, nil
 }
 
 // Medians collapses repeated results for the same benchmark (as

@@ -251,3 +251,41 @@ func TestCompareNormalized(t *testing.T) {
 		t.Fatal("missing reference in baseline report: want error")
 	}
 }
+
+// TestParseRejectsOutOfRangeNumbers: a result line whose run count or
+// recorded metric is NaN, infinite or negative fails Parse with an
+// error naming the line, instead of failing later in WriteJSON (NaN,
+// ±Inf) or passing the gate unnoticed (+Inf instrs/s, negative ns/op).
+// Lines that are not results stay ignored.
+func TestParseRejectsOutOfRangeNumbers(t *testing.T) {
+	for _, tc := range []struct {
+		line    string
+		wantErr bool
+	}{
+		{"BenchmarkSimCATCH 196 NaN ns/op", true},
+		{"BenchmarkSimCATCH 196 12249358 ns/op +Inf instrs/s", true},
+		{"BenchmarkSimCATCH 196 12249358 ns/op Inf instrs/s", true},
+		{"BenchmarkSimCATCH 196 -Inf ns/op", true},
+		{"BenchmarkSimCATCH 196 -12249358 ns/op 8163700 instrs/s", true},
+		{"BenchmarkSimCATCH 196 12249358 ns/op -1 B/op", true},
+		{"BenchmarkSimCATCH 196 12249358 ns/op nan allocs/op", true},
+		{"BenchmarkSimCATCH -196 12249358 ns/op", true},
+		// Not results: ignored as before.
+		{"BenchmarkSimCATCH 196 12249358 ns/op NaN widgets/op", false},
+		{"BenchmarkSimCATCH 196 1e400 ns/op", false},
+		{"BenchmarkSimCATCH -196 NaN widgets/op x y", false},
+	} {
+		rep, err := Parse(strings.NewReader(sampleOutput + tc.line + "\n"))
+		if tc.wantErr {
+			if err == nil {
+				t.Errorf("%q: accepted as %+v, want an error", tc.line, rep.Results[len(rep.Results)-1])
+			} else if !strings.Contains(err.Error(), tc.line) {
+				t.Errorf("%q: error %q does not name the line", tc.line, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%q: %v, want the line ignored or its unknown metric skipped", tc.line, err)
+		}
+	}
+}
