@@ -33,13 +33,14 @@ partition-smoke:
 
 # fuzz-smoke runs every native fuzz target for a short -fuzztime
 # beyond its seed corpus (which plain `go test` already replays): the
-# warm-snapshot decoder, the fault-plan parser and the benchmark-output
-# parser. Go fuzzes one target per invocation, hence one line per
-# target.
+# warm-snapshot decoder, the fault-plan parser, the benchmark-output
+# parser and the POST /v1/sweep body. Go fuzzes one target per
+# invocation, hence one line per target.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWarm$$' -fuzztime 10s ./internal/sample
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 10s ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/perf
+	$(GO) test -run '^$$' -fuzz '^FuzzSweepRequest$$' -fuzztime 10s ./internal/runner
 
 # sample-smoke proves representative-interval sampling stays honest:
 # the fig13 grid run through a sampling engine must reproduce every
@@ -65,11 +66,13 @@ cluster-smoke:
 	$(GO) test -run 'TestClusterSmoke|TestClusterKillOnePeer|TestClusterPeerFaultInjection' -count=1 ./internal/cluster
 
 # chaos re-proves determinism under injected faults: seeded fault
-# schedules (disk errors, corrupt cache entries, panics, hangs, a
-# kill/resume cycle) over real small sweeps must produce byte-identical
-# results vs the fault-free run. Bypasses the go test cache; ~1s.
+# schedules (disk errors, corrupt cache entries, panics, hangs, and a
+# kill followed by a re-run over the same cache) over real small
+# sweeps must produce byte-identical results vs the fault-free run.
+# Runs the runner's four TestChaos* tests. Bypasses the go test cache;
+# ~1s.
 chaos:
-	$(GO) run ./cmd/catchbench -chaos
+	$(GO) test -run Chaos -count=1 -v ./internal/runner
 
 # lint runs the in-repo static-analysis suite (see DESIGN.md,
 # "Static analysis"): determinism, hotpath-noalloc,

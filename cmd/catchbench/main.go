@@ -7,7 +7,6 @@
 //	catchbench -compare BENCH_sim.json          # gate: fail on regression
 //	catchbench -compare BENCH_sim.json -tol 0.2 # looser gate
 //	catchbench -bench 'SimCATCH' -out /tmp/b.json
-//	catchbench -chaos                           # seeded fault-injection suite
 //
 // It shells out to `go test -bench -benchmem` for the Sim* benchmarks
 // (bench_test.go at the repo root), parses the output into a
@@ -26,12 +25,6 @@
 // (different CI host, throttling) moves nothing, while a code change
 // that slows one path relative to the reference still fails. Pass
 // -ref "" for the old absolute comparison.
-//
-// -chaos instead runs the deterministic chaos suite (`go test -run
-// Chaos` over the runner and fault packages): seeded fault schedules —
-// disk errors, corrupt cache entries, panics, hangs, a kill/resume
-// cycle — over real small sweeps, asserting byte-identical output vs
-// the fault-free run. `make chaos` wraps it.
 package main
 
 import (
@@ -55,19 +48,10 @@ func main() {
 		tol       = flag.Float64("tol", 0.10, "tolerated fractional throughput drop before failing")
 		ref       = flag.String("ref", "BenchmarkSimBaseline", "reference benchmark for the drift-robust gate: throughputs are compared as ratios to it, so machine-speed changes cancel (empty = absolute comparison)")
 		verbose   = flag.Bool("v", false, "echo raw go test output")
-		chaos     = flag.Bool("chaos", false, "run the seeded chaos suite instead of benchmarks")
 	)
 	flag.Parse()
-	if *chaos {
-		if err := runChaos(); err != nil {
-			fmt.Fprintln(os.Stderr, "catchbench:", err)
-			os.Exit(1)
-		}
-		fmt.Println("ok: chaos suite passed (deterministic output under injected faults)")
-		return
-	}
 	if *out == "" && *compare == "" {
-		fmt.Fprintln(os.Stderr, "catchbench: need -out and/or -compare (or -chaos)")
+		fmt.Fprintln(os.Stderr, "catchbench: need -out and/or -compare")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -142,23 +126,6 @@ func main() {
 		}
 		fmt.Printf("ok: no regression beyond %.0f%% in %s vs %s\n", *tol*100, gate, *compare)
 	}
-}
-
-// runChaos executes the chaos-suite tests (TestChaos* in the runner
-// package) exactly once, bypassing the test cache so every invocation
-// re-proves determinism under the injected fault schedules.
-func runChaos() error {
-	args := []string{
-		"test", "-run", "Chaos", "-count", "1", "-v",
-		"./internal/runner",
-	}
-	cmd := exec.Command("go", args...)
-	cmd.Stdout = os.Stdout
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		return fmt.Errorf("go %v: %w", args, err)
-	}
-	return nil
 }
 
 // run executes the benchmarks in the current module and parses the

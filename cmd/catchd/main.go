@@ -19,12 +19,12 @@
 // Duplicate concurrent requests for the same job are coalesced onto
 // one simulation; identical jobs after that are served from the cache.
 // A disk-cache circuit breaker degrades to memory-only caching when the
-// cache directory misbehaves, -shed-after bounds the request wait queue
-// (overflow gets 503 + Retry-After), and sweeps POSTed with
-// "resumable": true are journaled under -journal-dir so an interrupted
-// sweep resumes from its last completed job. SIGINT/SIGTERM drain
-// in-flight requests and exit cleanly. -inject enables the
-// deterministic chaos layer (never in production).
+// cache directory misbehaves, and -shed-after bounds the request wait
+// queue (overflow gets 503 + Retry-After). An interrupted sweep
+// continues when the same sweep is POSTed again: with -cache, every
+// job it finished is served from the cache and only the rest run.
+// SIGINT/SIGTERM drain in-flight requests and exit cleanly. -inject
+// enables the deterministic chaos layer (never in production).
 //
 // -sample resolves eligible jobs by representative-interval sampling
 // (profile → cluster → measure representatives from warm snapshots →
@@ -249,7 +249,6 @@ func main() {
 		backoff     = flag.Duration("retry-backoff", 0, "base retry pause, doubled per attempt with seeded jitter (0 = immediate)")
 		brThresh    = flag.Int("breaker-threshold", 5, "consecutive disk-cache failures that trip the breaker to memory-only mode (0 = off)")
 		brCooldown  = flag.Int("breaker-cooldown", 32, "denied cache probes before a tripped breaker half-opens")
-		journalDir  = flag.String("journal-dir", "", "directory for resumable-sweep journals (empty = resumable sweeps rejected)")
 		inject      = flag.String("inject", "", "deterministic fault plan, e.g. seed=42,disk-read=0.5,panic=0.1 (chaos testing only)")
 		enablePprof = flag.Bool("pprof", false, "serve runtime profiles under /debug/pprof/")
 
@@ -328,7 +327,6 @@ func main() {
 		MaxInflight:    *inflight,
 		ShedAfter:      *shedAfter,
 		RequestTimeout: *reqTimeout,
-		JournalDir:     *journalDir,
 		ResultMaxAge:   *resultMaxAge,
 		Metrics:        reg,
 		Version:        version,
@@ -372,7 +370,6 @@ func main() {
 			Node:         node,
 			Resolve:      experiments.ConfigByName,
 			Inner:        handler,
-			JournalDir:   *journalDir,
 			ResultMaxAge: *resultMaxAge,
 			Version:      version,
 		}).Handler()
@@ -395,7 +392,7 @@ func main() {
 	}
 	// Flip into drain mode before closing the listener: queued requests
 	// shed immediately and the engine stops feeding sweep jobs, so the
-	// 30s shutdown budget goes to finishing (and journaling) in-flight
+	// 30s shutdown budget goes to finishing (and caching) in-flight
 	// work rather than starting more.
 	srv.BeginDrain()
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

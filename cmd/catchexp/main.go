@@ -8,7 +8,6 @@
 //	catchexp -exp fig13 -parallel 8     # shard the sweep over 8 workers
 //	catchexp -exp all -cache /tmp/catch # persist results across runs
 //	catchexp -exp fig10 -json           # machine-readable tables
-//	catchexp -exp all -cache /tmp/catch -journal /tmp/catch/exp.journal
 //	catchexp -exp fig13 -batch          # lock-step batch kernel
 //	catchexp -exp fig13 -sample         # representative-interval sampling
 //	catchexp -list
@@ -19,13 +18,10 @@
 // the content-addressed result cache. Wall-clock and cache counters
 // are reported on stderr.
 //
-// -journal checkpoints every completed job key so an interrupted
-// evaluation, re-run with the same flags, skips straight to the jobs
-// it has not finished (the journal here is manifest-less: it is a done
-// set over the content-addressed keys, so it composes across
-// experiments). Pair it with -cache, which holds the actual results.
-// An interrupted journaled run — Ctrl-C included — prints the exact
-// command that continues it, mirroring catchsim's -resume hint.
+// With -cache an interrupted evaluation — Ctrl-C included — prints the
+// exact command that continues it: the same flags over the same cache,
+// where every finished job is served from disk and only the unfinished
+// ones execute.
 package main
 
 import (
@@ -122,13 +118,10 @@ func runExperiment(id string, b experiments.Budget) (tables []experiments.Table,
 
 // resumeCommand reconstructs the exact invocation that continues an
 // interrupted evaluation: same experiment, same budget (keys depend on
-// it), same journal and cache.
-func resumeCommand(o *options, cacheDir, journal string, jsonOut, batch bool) string {
-	cmd := fmt.Sprintf("catchexp -exp %s -insts %d -warmup %d -workloads %d -mixes %d -parallel %d -journal %q",
-		o.exp, o.insts, o.warmup, o.nwl, o.mixes, o.parallel, journal)
-	if cacheDir != "" {
-		cmd += fmt.Sprintf(" -cache %q", cacheDir)
-	}
+// it), same cache.
+func resumeCommand(o *options, cacheDir string, jsonOut, batch bool) string {
+	cmd := fmt.Sprintf("catchexp -exp %s -insts %d -warmup %d -workloads %d -mixes %d -parallel %d -cache %q",
+		o.exp, o.insts, o.warmup, o.nwl, o.mixes, o.parallel, cacheDir)
 	if jsonOut {
 		cmd += " -json"
 	}
@@ -157,8 +150,7 @@ func main() {
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "simulation worker goroutines")
 		jsonOut  = flag.Bool("json", false, "emit tables as JSON instead of text")
-		cacheDir = flag.String("cache", "", "result cache directory (empty = in-memory only)")
-		journal  = flag.String("journal", "", "checkpoint completed job keys to this file; a re-run resumes (use with -cache)")
+		cacheDir = flag.String("cache", "", "result cache directory (empty = in-memory only); a re-run over it computes only the missing jobs")
 		batch    = flag.Bool("batch", false, "lock-step configurations sharing a workload through one memoized trace (results are byte-identical to scalar)")
 
 		sampleOn = flag.Bool("sample", false, "representative-interval sampling: measure only clustered representatives from warm snapshots (approximate results with error bars)")
@@ -183,29 +175,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	var jl *runner.Journal
-	if *journal != "" {
-		if *cacheDir == "" {
-			fmt.Fprintln(os.Stderr, "catchexp: warning: -journal without -cache resumes nothing (results only survive in the disk cache)")
-		}
-		var err error
-		if jl, err = runner.OpenJournal(*journal, nil, 0); err != nil {
-			fmt.Fprintln(os.Stderr, "catchexp:", err)
-			os.Exit(1)
-		}
-		if n := jl.DoneCount(); n > 0 {
-			fmt.Fprintf(os.Stderr, "catchexp: journal %s already records %d completed jobs\n", *journal, n)
-		}
-		defer func() {
-			if err := jl.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "catchexp:", err)
-			}
-		}()
-	}
 	eng := runner.New(runner.Options{
 		Workers:        *parallel,
 		Cache:          runner.NewCache(*cacheDir),
-		Journal:        jl,
 		Batch:          *batch,
 		Sample:         *sampleOn,
 		SampleInterval: *sampleIv,
@@ -217,8 +189,8 @@ func main() {
 	experiments.UseEngine(eng)
 
 	// A cancelable context lets Ctrl-C stop the evaluation cleanly:
-	// finished jobs are already journaled, undone ones come back
-	// Canceled, and an identical re-run resumes exactly the remainder.
+	// finished jobs are already in the cache, undone ones come back
+	// Canceled, and an identical re-run computes exactly the remainder.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	experiments.UseContext(ctx)
@@ -231,9 +203,11 @@ func main() {
 		tables, err := runExperiment(id, b)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "catchexp:", err)
-			if ctx.Err() != nil && jl != nil {
+			if ctx.Err() != nil && *cacheDir == "" {
+				fmt.Fprintln(os.Stderr, "catchexp: interrupted; no results were kept (run with -cache DIR so a re-run skips finished jobs)")
+			} else if ctx.Err() != nil {
 				fmt.Fprintf(os.Stderr, "catchexp: interrupted; continue with %s\n",
-					resumeCommand(&opts, *cacheDir, *journal, *jsonOut, *batch))
+					resumeCommand(&opts, *cacheDir, *jsonOut, *batch))
 			}
 			os.Exit(1)
 		}

@@ -88,19 +88,20 @@ func TestValidateResolvesIDs(t *testing.T) {
 	}
 }
 
-// TestResumeCommand pins the exact command an interrupted journaled run
-// prints: it must reconstruct every flag the job keys depend on, so
-// pasting it resumes the same sweep against the same journal.
+// TestResumeCommand pins the exact command an interrupted run prints:
+// it must reconstruct every flag the job keys depend on, plus the
+// cache, so pasting it re-runs the same evaluation over the same cache
+// and computes only the unfinished jobs.
 func TestResumeCommand(t *testing.T) {
 	o := validOptions()
-	got := resumeCommand(&o, "", "run.journal", false, false)
-	want := `catchexp -exp fig10 -insts 10000 -warmup 1000 -workloads 0 -mixes 4 -parallel 2 -journal "run.journal"`
+	got := resumeCommand(&o, "run-cache", false, false)
+	want := `catchexp -exp fig10 -insts 10000 -warmup 1000 -workloads 0 -mixes 4 -parallel 2 -cache "run-cache"`
 	if got != want {
 		t.Fatalf("resumeCommand =\n  %s\nwant\n  %s", got, want)
 	}
 
-	got = resumeCommand(&o, "/tmp/cache dir", "j.journal", true, true)
-	for _, part := range []string{`-cache "/tmp/cache dir"`, "-json", `-journal "j.journal"`, "-batch"} {
+	got = resumeCommand(&o, "/tmp/cache dir", true, true)
+	for _, part := range []string{`-cache "/tmp/cache dir"`, "-json", "-batch"} {
 		if !strings.Contains(got, part) {
 			t.Fatalf("resumeCommand %q lacks %q", got, part)
 		}
@@ -110,7 +111,7 @@ func TestResumeCommand(t *testing.T) {
 	// must carry them too.
 	o = validOptions()
 	o.sample, o.sampleIv, o.sampleK = true, 1_000, 3
-	got = resumeCommand(&o, "", "j.journal", false, false)
+	got = resumeCommand(&o, "c", false, false)
 	for _, part := range []string{"-sample ", "-sample-interval 1000", "-sample-k 3"} {
 		if !strings.Contains(got+" ", part) {
 			t.Fatalf("resumeCommand %q lacks %q", got, part)

@@ -8,8 +8,7 @@
 //	catchsim -workload mcf -config catch -json
 //	catchsim -workload mcf -config catch -trace out.json   # Chrome/Perfetto trace
 //	catchsim -workload mcf -config catch -dump-critpath    # critical-path table
-//	catchsim -workload mcf,hmmer -config catch -cache /tmp/cc -journal sweep.journal
-//	catchsim -resume sweep.journal -cache /tmp/cc          # continue an interrupted sweep
+//	catchsim -workload mcf,hmmer -config catch -cache /tmp/cc  # re-run to continue after an interrupt
 //	catchsim -workload mcf -config catch,baseline-excl,nol2-6.5 -batch
 //	catchsim -workload mcf -config catch -sample -sample-interval 1000 -sample-k 3
 //	catchsim -list            # list workloads
@@ -22,18 +21,16 @@
 // attach the telemetry tracer and therefore run a single
 // (config, workload) job in-process.
 //
-// -journal checkpoints every completed job (and the sweep's manifest)
-// to an append-only file; an interrupted run — Ctrl-C included — can
-// be continued with -resume, which reads the job list back from the
-// journal and executes only what is missing. Pair both with -cache so
-// completed results survive the process.
+// -cache keeps every completed result on disk under its content
+// address. An interrupted run — Ctrl-C included — continues when the
+// same command runs again: finished jobs come back from the cache and
+// only the missing ones execute.
 //
 // -batch executes single-thread jobs sharing a (workload, -n, -warmup)
 // key through the lock-step batch kernel: the instruction trace is
 // generated once per workload and every configuration steps through the
-// shared recording. Results, cache keys and journal records are
-// byte-identical to the scalar path — batching is purely an execution
-// strategy.
+// shared recording. Results and cache keys are byte-identical to the
+// scalar path — batching is purely an execution strategy.
 //
 // -sample resolves eligible jobs by representative-interval sampling:
 // the workload is profiled once, intervals cluster into -sample-k
@@ -82,8 +79,6 @@ type options struct {
 	traceBuf    int
 	dumpCrit    bool
 	cacheDir    string
-	journal     string
-	resume      string
 	batch       bool
 	sample      bool
 	sampleIv    int64
@@ -133,12 +128,6 @@ func validate(o *options) error {
 	if (o.traceOut != "" || o.dumpCrit) && (len(o.configs) != 1 || len(o.workloads) != 1) {
 		return fmt.Errorf("-trace/-dump-critpath run a single job; got %d configs x %d workloads",
 			len(o.configs), len(o.workloads))
-	}
-	if o.journal != "" && o.resume != "" {
-		return errors.New("-journal and -resume are mutually exclusive (-resume reuses the journal's stored manifest)")
-	}
-	if (o.traceOut != "" || o.dumpCrit) && (o.journal != "" || o.resume != "") {
-		return errors.New("-trace/-dump-critpath run in-process and cannot be combined with -journal/-resume")
 	}
 	if o.batch && (o.traceOut != "" || o.dumpCrit) {
 		return errors.New("-batch runs through the engine and cannot be combined with -trace/-dump-critpath")
@@ -191,9 +180,7 @@ func main() {
 		traceBuf    = flag.Int("trace-buf", 1<<20, "trace ring capacity in events (oldest events drop on overflow)")
 		dumpCrit    = flag.Bool("dump-critpath", false, "print the recorded critical-path walks as a table; single job only")
 
-		cacheDir = flag.String("cache", "", "result cache directory (empty = in-memory only)")
-		journal  = flag.String("journal", "", "checkpoint completed jobs to this file; continue later with -resume")
-		resume   = flag.String("resume", "", "resume the sweep stored in this journal (the job grid comes from its manifest)")
+		cacheDir = flag.String("cache", "", "result cache directory (empty = in-memory only); re-running an interrupted sweep over it computes only the missing jobs")
 		batch    = flag.Bool("batch", false, "lock-step configurations sharing a workload through one memoized trace (results are byte-identical to scalar)")
 
 		sampleOn = flag.Bool("sample", false, "representative-interval sampling: profile, cluster, simulate only representatives from warm snapshots (extrapolated results carry error bars)")
@@ -235,8 +222,6 @@ func main() {
 		traceBuf:    *traceBuf,
 		dumpCrit:    *dumpCrit,
 		cacheDir:    *cacheDir,
-		journal:     *journal,
-		resume:      *resume,
 		batch:       *batch,
 		sample:      *sampleOn,
 		sampleIv:    *sampleIv,
@@ -257,46 +242,15 @@ func main() {
 	}
 
 	// A cancelable context lets Ctrl-C stop the sweep cleanly: finished
-	// jobs are already journaled, undone ones come back Canceled, and a
-	// later -resume picks up exactly the remainder.
+	// jobs are already in the cache, undone ones come back Canceled, and
+	// re-running the same command computes exactly the remainder.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	var (
-		jl   *runner.Journal
-		jobs []runner.Job
-		err  error
-	)
-	switch {
-	case opts.resume != "":
-		if jl, err = runner.OpenJournal(opts.resume, nil, 0); err == nil && len(jl.Jobs()) == 0 {
-			err = fmt.Errorf("%s holds no job manifest; start the sweep with -journal", opts.resume)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "catchsim:", err)
-			os.Exit(1)
-		}
-		jobs = jl.Jobs()
-		if opts.cacheDir == "" {
-			fmt.Fprintln(os.Stderr, "catchsim: warning: -resume without -cache recomputes every job (journaled results only live in the disk cache)")
-		}
-		fmt.Fprintf(os.Stderr, "catchsim: resuming %s: %d/%d jobs already done\n",
-			opts.resume, jl.DoneCount(), len(jobs))
-	default:
-		grid := runner.Grid{Configs: cfgs, Workloads: wls, Insts: *n, Warmup: *warmup}
-		jobs = grid.Jobs()
-		if opts.journal != "" {
-			if jl, err = runner.OpenJournal(opts.journal, jobs, 0); err != nil {
-				fmt.Fprintln(os.Stderr, "catchsim:", err)
-				os.Exit(1)
-			}
-		}
-	}
-
+	grid := runner.Grid{Configs: cfgs, Workloads: wls, Insts: *n, Warmup: *warmup}
 	eng := runner.New(runner.Options{
 		Workers:        *parallel,
 		Cache:          runner.NewCache(opts.cacheDir),
-		Journal:        jl,
 		Batch:          opts.batch,
 		Sample:         opts.sample,
 		SampleInterval: opts.sampleIv,
@@ -305,19 +259,15 @@ func main() {
 			fmt.Fprintf(os.Stderr, "catchsim: "+format+"\n", args...)
 		},
 	})
-	jrs := eng.Run(ctx, jobs)
+	jrs := eng.Run(ctx, grid.Jobs())
 	if opts.sample {
 		fmt.Fprintf(os.Stderr, "catchsim: %d jobs sampled, %d fell back to full simulation\n",
 			eng.Sampled(), eng.SampleFallbacks())
 	}
-	if cerr := jl.Close(); cerr != nil {
-		fmt.Fprintln(os.Stderr, "catchsim:", cerr)
-	}
 	if err := runner.FirstError(jrs); err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		if ctx.Err() != nil && jl != nil {
-			fmt.Fprintf(os.Stderr, "catchsim: interrupted; continue with -resume %s -cache %q\n",
-				jl.Path(), opts.cacheDir)
+		if ctx.Err() != nil {
+			fmt.Fprintln(os.Stderr, "catchsim:", interruptHint(opts.cacheDir))
 		}
 		os.Exit(1)
 	}
@@ -339,6 +289,16 @@ func main() {
 			printResult(&jrs[i].Results[j])
 		}
 	}
+}
+
+// interruptHint tells an interrupted user how to continue. With a
+// cache directory the finished jobs are on disk and the same command
+// picks up the rest; without one nothing survives the process.
+func interruptHint(cacheDir string) string {
+	if cacheDir == "" {
+		return "interrupted; no results were kept (run with -cache DIR so a re-run skips finished jobs)"
+	}
+	return fmt.Sprintf("interrupted; re-run the same command to continue (finished jobs are served from -cache %q)", cacheDir)
 }
 
 // workloadNames returns all workload names in listing order.

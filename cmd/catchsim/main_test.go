@@ -49,22 +49,10 @@ func TestValidate(t *testing.T) {
 			o.dumpCrit = true
 			o.configs = []string{"baseline-excl", "catch"}
 		}, "-trace/-dump-critpath run a single job"},
-		{"journal passes", func(o *options) { o.journal = "sweep.journal" }, ""},
-		{"resume passes", func(o *options) { o.resume = "sweep.journal"; o.cacheDir = "/tmp/cc" }, ""},
-		{"journal with resume", func(o *options) {
-			o.journal, o.resume = "a.journal", "b.journal"
-		}, "-journal and -resume are mutually exclusive"},
-		{"trace with journal", func(o *options) {
-			o.traceOut, o.journal = "t.json", "sweep.journal"
-		}, "cannot be combined with -journal/-resume"},
-		{"critpath with resume", func(o *options) {
-			o.dumpCrit, o.resume = true, "sweep.journal"
-		}, "cannot be combined with -journal/-resume"},
 		{"batch grid passes", func(o *options) {
 			o.batch = true
 			o.configs = []string{"baseline-excl", "catch"}
 		}, ""},
-		{"batch with journal passes", func(o *options) { o.batch, o.journal = true, "sweep.journal" }, ""},
 		{"batch with trace", func(o *options) {
 			o.batch, o.traceOut = true, "t.json"
 		}, "-batch runs through the engine"},
@@ -75,7 +63,6 @@ func TestValidate(t *testing.T) {
 		{"sample tuned passes", func(o *options) {
 			o.sample, o.sampleIv, o.sampleK = true, 1_000, 3
 		}, ""},
-		{"sample with journal passes", func(o *options) { o.sample, o.journal = true, "sweep.journal" }, ""},
 		{"sample with trace", func(o *options) {
 			o.sample, o.traceOut = true, "t.json"
 		}, "-sample runs through the engine"},

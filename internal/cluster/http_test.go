@@ -139,3 +139,32 @@ func TestResultsEmptyEntryIs404(t *testing.T) {
 		t.Fatalf("404 must carry a JSON error body (err %v)", err)
 	}
 }
+
+// TestClusterSweepRejectsRepeatedAndUnknownNames: the cluster's sweep
+// endpoint validates a body exactly as the single-node one does — a
+// repeated config or an unknown workload is a 400 with a JSON error,
+// and nothing runs anywhere.
+func TestClusterSweepRejectsRepeatedAndUnknownNames(t *testing.T) {
+	tc := newTestCluster(t, 2, nil)
+	for _, body := range []string{
+		`{"configs":["baseline-excl","baseline-excl"],"workloads":["mcf"]}`,
+		`{"configs":["baseline-excl"],"workloads":["nosuch"]}`,
+	} {
+		resp, err := http.Post(tc.urls[0]+"/v1/sweep", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb errorBody
+		derr := json.NewDecoder(resp.Body).Decode(&eb)
+		_ = resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: %s, want 400", body, resp.Status)
+		}
+		if derr != nil || eb.Error == "" {
+			t.Fatalf("%s: want a JSON error body (decode err %v)", body, derr)
+		}
+	}
+	if n := executedTotal(tc); n != 0 {
+		t.Fatalf("rejected sweeps executed %d simulations", n)
+	}
+}

@@ -268,11 +268,11 @@ func (n *Node) Lookup(ctx context.Context, key string, localOnly bool) ([]core.R
 
 // ExecuteShard runs one shard of a sweep on this node: jobs feed the
 // steal queue, local workers pop from the head, and peers may steal
-// from the tail. Completed jobs land in the engine's cache (and jl,
-// when journaled); the returned results are in job order, so a
-// coordinator can splice shards back together deterministically.
-func (n *Node) ExecuteShard(ctx context.Context, jobs []runner.Job, jl *runner.Journal) []runner.JobResult {
-	out := n.executeShard(ctx, jobs, jl)
+// from the tail. Completed jobs land in the engine's cache; the
+// returned results are in job order, so a coordinator can splice
+// shards back together deterministically.
+func (n *Node) ExecuteShard(ctx context.Context, jobs []runner.Job) []runner.JobResult {
+	out := n.executeShard(ctx, jobs)
 	// Fan completed results out to their replica sets. Replication is
 	// idempotent (content-addressed keys), so re-pushing a cache hit
 	// costs one small call and repairs any gap a past failure left.
@@ -307,12 +307,12 @@ func (n *Node) replicate(ctx context.Context, key string, rs []core.Result) {
 }
 
 // executeShard is ExecuteShard minus replication.
-func (n *Node) executeShard(ctx context.Context, jobs []runner.Job, jl *runner.Journal) []runner.JobResult {
+func (n *Node) executeShard(ctx context.Context, jobs []runner.Job) []runner.JobResult {
 	items, armed := n.queue.begin(jobs)
 	if !armed {
 		// Another shard is active: run engine-only. Correct, just not
 		// stealable.
-		return n.opts.Engine.RunJournaled(ctx, jobs, jl)
+		return n.opts.Engine.Run(ctx, jobs)
 	}
 	defer n.queue.end()
 
@@ -330,7 +330,7 @@ func (n *Node) executeShard(ctx context.Context, jobs []runner.Job, jl *runner.J
 				if !ok {
 					return
 				}
-				out[it.idx] = n.opts.Engine.RunJournaled(ctx, []runner.Job{it.job}, jl)[0]
+				out[it.idx] = n.opts.Engine.Run(ctx, []runner.Job{it.job})[0]
 			}
 		}()
 	}
@@ -344,7 +344,7 @@ func (n *Node) executeShard(ctx context.Context, jobs []runner.Job, jl *runner.J
 		reclaimed := n.queue.awaitLent(ctx, n.opts.LentDeadline)
 		for _, it := range reclaimed {
 			n.mPeerCompute.Inc()
-			out[it.idx] = n.opts.Engine.RunJournaled(ctx, []runner.Job{it.job}, jl)[0]
+			out[it.idx] = n.opts.Engine.Run(ctx, []runner.Job{it.job})[0]
 		}
 	}
 	// Splice in the filled (stolen) results.
@@ -353,7 +353,9 @@ func (n *Node) executeShard(ctx context.Context, jobs []runner.Job, jl *runner.J
 			continue
 		}
 		if rs, ok := n.queue.takeFilled(it.key); ok {
-			n.cacheAndJournal(it.key, rs, jl)
+			// A stolen job's result lands where a local compute would
+			// have put it.
+			n.opts.Engine.Cache().Put(it.key, rs)
 			out[it.idx] = runner.JobResult{
 				Job: it.job, Key: it.key, Results: rs, Status: runner.StatusOK, Cached: true,
 			}
@@ -367,15 +369,6 @@ func (n *Node) executeShard(ctx context.Context, jobs []runner.Job, jl *runner.J
 		out[it.idx] = runner.JobResult{Job: it.job, Key: it.key, Err: reason.Error(), Status: runner.StatusCanceled}
 	}
 	return out
-}
-
-// cacheAndJournal lands an externally computed result exactly where a
-// local compute would have put it.
-func (n *Node) cacheAndJournal(key string, rs []core.Result, jl *runner.Journal) {
-	n.opts.Engine.Cache().Put(key, rs)
-	if err := jl.Record(key); err != nil {
-		n.logf("cluster: %v", err)
-	}
 }
 
 // HandleSteal serves a peer's steal request from the local queue.
@@ -520,8 +513,9 @@ func (n *Node) paceLoop(ctx context.Context, name string, interval time.Duration
 // is excluded from the ring for the rest of the sweep — its jobs
 // reroute (next live owner, ultimately self) until every job has a
 // result. The output is in job order, so Flatten is byte-identical to
-// a single-node run.
-func (n *Node) RunSweep(ctx context.Context, jobs []runner.Job, jl *runner.Journal) []runner.JobResult {
+// a single-node run. The third argument is ignored; it stays only so
+// existing callers compile.
+func (n *Node) RunSweep(ctx context.Context, jobs []runner.Job, _ any) []runner.JobResult {
 	out := make([]runner.JobResult, len(jobs))
 	remaining := make([]int, len(jobs))
 	for i := range jobs {
@@ -571,7 +565,7 @@ func (n *Node) RunSweep(ctx context.Context, jobs []runner.Job, jl *runner.Journ
 					for k, i := range idxs {
 						shard[k] = jobs[i]
 					}
-					ch <- shardOut{owner: n.opts.Self, idxs: idxs, results: n.ExecuteShard(ctx, shard, jl)}
+					ch <- shardOut{owner: n.opts.Self, idxs: idxs, results: n.ExecuteShard(ctx, shard)}
 				}()
 				continue
 			}
@@ -580,7 +574,7 @@ func (n *Node) RunSweep(ctx context.Context, jobs []runner.Job, jl *runner.Journ
 				for k, i := range idxs {
 					shard[k] = jobs[i]
 				}
-				rs, err := n.client.RunShard(ctx, owner, shard, jl != nil)
+				rs, err := n.client.RunShard(ctx, owner, shard, false)
 				ch <- shardOut{owner: owner, idxs: idxs, results: rs, err: err}
 			}(owner, idxs)
 		}

@@ -441,11 +441,12 @@ func (c *Client) Manifest(ctx context.Context, peer string) ([]string, error) {
 }
 
 // RunShard dispatches a job shard to its owner peer and returns the
-// per-job results in request order.
-func (c *Client) RunShard(ctx context.Context, peer string, jobs []runner.Job, resumable bool) ([]runner.JobResult, error) {
+// per-job results in request order. The bool argument is ignored; it
+// stays only so existing callers compile.
+func (c *Client) RunShard(ctx context.Context, peer string, jobs []runner.Job, _ bool) ([]runner.JobResult, error) {
 	var resp shardResponse
 	err := c.postJSON(ctx, peer, "shard", shardSite(jobs), peer+"/v1/cluster/shard",
-		shardRequest{Jobs: jobs, Resumable: resumable}, &resp)
+		shardRequest{Jobs: jobs}, &resp)
 	if err != nil {
 		return nil, err
 	}

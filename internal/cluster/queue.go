@@ -17,11 +17,11 @@ type item struct {
 	key string
 }
 
-// stealQueue is a node's journal-backed work queue for the shard it is
-// currently executing. Local workers pop from the head; a remote
-// stealer pops from the tail (the jobs the local workers would reach
-// last), and returns each result through fill. A lent job the stealer
-// never returns is reclaimed after a deadline and computed locally —
+// stealQueue is a node's work queue for the shard it is currently
+// executing. Local workers pop from the head; a remote stealer pops
+// from the tail (the jobs the local workers would reach last), and
+// returns each result through fill. A lent job the stealer never
+// returns is reclaimed after a deadline and computed locally —
 // stealing can only ever shorten a sweep, never lose work, and because
 // results are content-addressed a duplicated computation is harmless.
 type stealQueue struct {

@@ -8,7 +8,6 @@ import (
 
 	"catch/internal/core"
 	"catch/internal/runner"
-	"catch/internal/workloads"
 )
 
 // Server is the cluster's HTTP layer. It mounts the cluster routes and
@@ -29,9 +28,6 @@ type Server struct {
 	// Inner serves every route the cluster layer does not override
 	// (run, drain, healthz, metrics, pprof).
 	Inner http.Handler
-	// JournalDir enables resumable shards, exactly as on the runner
-	// server; shard journals are content-addressed per shard.
-	JournalDir string
 	// ResultMaxAge is the Cache-Control max-age for results (<=0:
 	// runner.DefaultResultMaxAge).
 	ResultMaxAge time.Duration
@@ -78,8 +74,7 @@ type PeerState struct {
 
 // shardRequest is the cluster-internal body of POST /v1/cluster/shard.
 type shardRequest struct {
-	Jobs      []runner.Job `json:"jobs"`
-	Resumable bool         `json:"resumable,omitempty"`
+	Jobs []runner.Job `json:"jobs"`
 }
 
 // shardResponse carries the shard's per-job results in request order.
@@ -221,28 +216,8 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.Node.mShardsIn.Inc()
-	jl, closeJl, err := s.openShardJournal(req.Jobs, req.Resumable)
-	if err != nil {
-		writeJSON(w, http.StatusConflict, errorBody{err.Error()})
-		return
-	}
-	defer closeJl()
-	out := s.Node.ExecuteShard(r.Context(), req.Jobs, jl)
+	out := s.Node.ExecuteShard(r.Context(), req.Jobs)
 	writeJSON(w, http.StatusOK, shardResponse{Jobs: out})
-}
-
-// openShardJournal opens a content-addressed journal for a resumable
-// shard; a non-resumable shard (or a server without a journal dir)
-// gets a nil journal and a no-op closer.
-func (s *Server) openShardJournal(jobs []runner.Job, resumable bool) (*runner.Journal, func(), error) {
-	if !resumable || s.JournalDir == "" {
-		return nil, func() {}, nil
-	}
-	jl, err := runner.OpenShardJournal(s.JournalDir, jobs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return jl, func() { _ = jl.Close() }, nil
 }
 
 func (s *Server) handleSteal(w http.ResponseWriter, r *http.Request) {
@@ -275,24 +250,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{"bad request body: " + err.Error()})
 		return
 	}
-	jobs, err := s.sweepJobs(&req)
+	jobs, err := req.Jobs(s.Resolve)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{err.Error()})
 		return
 	}
-	var jl *runner.Journal
-	closeJl := func() {}
-	if req.Resumable {
-		if jl, closeJl, err = s.openShardJournal(jobs, true); err != nil {
-			writeJSON(w, http.StatusConflict, errorBody{err.Error()})
-			return
-		}
-	}
-	defer closeJl()
-
 	//catchlint:ignore determinism sweep wall-clock is response metadata, never simulation output
 	start := time.Now()
-	out := s.Node.RunSweep(r.Context(), jobs, jl)
+	out := s.Node.RunSweep(r.Context(), jobs, nil)
 	canceled := 0
 	for i := range out {
 		if out[i].Status == runner.StatusCanceled {
@@ -310,37 +275,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		},
 		"tiers": s.Node.Tiers().Stats(),
 	})
-}
-
-// sweepJobs expands a sweep request into its job list (the same
-// expansion the single-node server performs).
-func (s *Server) sweepJobs(req *runner.SweepRequest) ([]runner.Job, error) {
-	if len(req.Configs) == 0 {
-		return nil, fmt.Errorf("sweep needs at least one config")
-	}
-	wls := req.Workloads
-	if len(wls) == 0 {
-		for _, wl := range workloads.All() {
-			wls = append(wls, wl.WName)
-		}
-	}
-	grid := runner.Grid{Insts: req.Insts, Warmup: req.Warmup, Workloads: wls}
-	if grid.Insts <= 0 {
-		grid.Insts = 300_000
-	}
-	if grid.Warmup == 0 {
-		grid.Warmup = 150_000
-	} else if grid.Warmup < 0 {
-		grid.Warmup = 0
-	}
-	for _, name := range req.Configs {
-		cfg, ok := s.Resolve(name)
-		if !ok {
-			return nil, fmt.Errorf("unknown config %q", name)
-		}
-		grid.Configs = append(grid.Configs, cfg)
-	}
-	return grid.Jobs(), nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

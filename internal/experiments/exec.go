@@ -34,7 +34,8 @@ func UseEngine(e *runner.Engine) {
 // UseContext makes every experiment driver run its jobs under ctx, so
 // a command-line interrupt cancels the sweep instead of orphaning it
 // (cmd/catchexp installs its signal context; undone jobs come back
-// Canceled and a journaled re-run resumes exactly the remainder).
+// Canceled, and a re-run over the same cache computes exactly the
+// remainder).
 func UseContext(ctx context.Context) {
 	engMu.Lock()
 	defer engMu.Unlock()

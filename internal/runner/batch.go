@@ -12,8 +12,8 @@ import (
 // (workload, insts, warmup) tuple they share, materializes that tuple's
 // trace once, and steps every configuration in the group through it
 // with one lock-step core.RunBatch call. Each job's result then fans
-// back out to its own content-addressed cache key and journal record,
-// so catchd, the cluster coordinator and the resume path consume batch
+// back out to its own content-addressed cache key, so catchd, the
+// cluster coordinator and a re-run over the same cache consume batch
 // results exactly as scalar ones. Anything the lock-step kernel cannot
 // express — multi-programmed jobs, singleton groups, or a unit that
 // errors, times out or hits an injected fault — runs through the
@@ -31,23 +31,23 @@ type batchKey struct {
 // through the planner instead).
 func batchEligible(j *Job) bool { return len(j.Workloads) == 1 && j.Sample == nil }
 
-// planUnits partitions the pending job indexes into execution units.
-// With batching off every unit is a singleton, preserving the scalar
+// planUnits partitions the job indexes into execution units. With
+// batching off every unit is a singleton, preserving the scalar
 // scheduler exactly. With it on, eligible jobs group by batchKey in
 // first-appearance order and oversized groups split at batchSize, so
-// unit order (and therefore journal and cache fill order) is a
-// deterministic function of the job list.
-func (e *Engine) planUnits(jobs []Job, pending []int) [][]int {
+// unit order (and therefore cache fill order) is a deterministic
+// function of the job list.
+func (e *Engine) planUnits(jobs []Job) [][]int {
 	if !e.opts.Batch {
-		units := make([][]int, len(pending))
-		for k, i := range pending {
-			units[k] = []int{i}
+		units := make([][]int, len(jobs))
+		for i := range units {
+			units[i] = []int{i}
 		}
 		return units
 	}
 	groupOf := make(map[batchKey]int)
 	var groups [][]int
-	for _, i := range pending {
+	for i := range jobs {
 		j := &jobs[i]
 		if !batchEligible(j) {
 			groups = append(groups, []int{i})
@@ -76,35 +76,22 @@ func (e *Engine) planUnits(jobs []Job, pending []int) [][]int {
 }
 
 // runUnit resolves one unit, writing a JobResult for every index it
-// covers and journaling each completion.
-func (e *Engine) runUnit(ctx context.Context, jobs []Job, unit []int, out []JobResult, jl *Journal) {
+// covers.
+func (e *Engine) runUnit(ctx context.Context, jobs []Job, unit []int, out []JobResult) {
 	if len(unit) == 1 {
 		i := unit[0]
 		out[i] = e.runOne(ctx, jobs[i])
-		e.journalDone(jl, &out[i])
 		return
 	}
-	e.runBatchUnit(ctx, jobs, unit, out, jl)
-}
-
-// journalDone records a completed job, counting and logging failures
-// exactly as the scalar worker loop always has.
-func (e *Engine) journalDone(jl *Journal, jr *JobResult) {
-	if jr.Err != "" {
-		return
-	}
-	if err := jl.Record(jr.Key); err != nil {
-		e.mJournalErr.Inc()
-		e.logf("runner: %v", err)
-	}
+	e.runBatchUnit(ctx, jobs, unit, out)
 }
 
 // runBatchUnit resolves a multi-job unit through the lock-step kernel.
-// Jobs whose keys landed in the cache since the resume pass are served
-// from it; the rest run in one RunBatch call. A batch-level error of
-// any kind falls back to running each remaining job through the scalar
-// path, which owns per-job retries, timeouts and status reporting.
-func (e *Engine) runBatchUnit(ctx context.Context, jobs []Job, unit []int, out []JobResult, jl *Journal) {
+// Jobs whose keys are already cached are served from the cache; the
+// rest run in one RunBatch call. A batch-level error of any kind falls
+// back to running each remaining job through the scalar path, which
+// owns per-job retries, timeouts and status reporting.
+func (e *Engine) runBatchUnit(ctx context.Context, jobs []Job, unit []int, out []JobResult) {
 	start := time.Now()
 	pend := make([]int, 0, len(unit))
 	for _, i := range unit {
@@ -113,7 +100,6 @@ func (e *Engine) runBatchUnit(ctx context.Context, jobs []Job, unit []int, out [
 			out[i] = JobResult{Job: jobs[i], Key: key, Results: rs,
 				Status: StatusOK, Cached: true, Elapsed: time.Since(start)}
 			e.mCompleted.Inc()
-			e.journalDone(jl, &out[i])
 			continue
 		}
 		pend = append(pend, i)
@@ -126,7 +112,6 @@ func (e *Engine) runBatchUnit(ctx context.Context, jobs []Job, unit []int, out [
 		// better than a one-system batch.
 		i := pend[0]
 		out[i] = e.runOne(ctx, jobs[i])
-		e.journalDone(jl, &out[i])
 		return
 	}
 	e.mInflight.Add(int64(len(pend)))
@@ -143,7 +128,6 @@ func (e *Engine) runBatchUnit(ctx context.Context, jobs []Job, unit []int, out [
 		}
 		for _, i := range pend {
 			out[i] = e.runOne(ctx, jobs[i])
-			e.journalDone(jl, &out[i])
 		}
 		return
 	}
@@ -159,7 +143,6 @@ func (e *Engine) runBatchUnit(ctx context.Context, jobs []Job, unit []int, out [
 		e.batched.Inc()
 		e.mCompleted.Inc()
 		e.mJobSeconds.Observe(elapsed.Seconds())
-		e.journalDone(jl, &out[i])
 	}
 }
 

@@ -2,7 +2,6 @@ package runner
 
 import (
 	"context"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -71,18 +70,13 @@ func TestPlanUnits(t *testing.T) {
 	for len(jobs) < 13 {
 		jobs = append(jobs, STJob(cfg, "mcf", 100, 10)) // 4-12: group A, 10 jobs in all
 	}
-	pending := make([]int, len(jobs))
-	for i := range pending {
-		pending[i] = i
-	}
-
 	scalar := New(Options{Workers: 1})
-	if got := scalar.planUnits(jobs, pending); len(got) != len(pending) {
-		t.Fatalf("scalar planUnits made %d units, want %d singletons", len(got), len(pending))
+	if got := scalar.planUnits(jobs); len(got) != len(jobs) {
+		t.Fatalf("scalar planUnits made %d units, want %d singletons", len(got), len(jobs))
 	}
 
 	batch := New(Options{Workers: 1, Batch: true})
-	got := batch.planUnits(jobs, pending)
+	got := batch.planUnits(jobs)
 	want := [][]int{{0, 4, 5, 6, 7, 8, 9, 10}, {11, 12}, {1}, {2}, {3}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("planUnits = %v, want %v (group A split at batchSize=8)", got, want)
@@ -90,45 +84,30 @@ func TestPlanUnits(t *testing.T) {
 }
 
 // TestBatchCacheFanOut proves batch results land under the same
-// per-job content-addressed keys and journal records as scalar
-// execution, so a journaled re-run resumes without recomputing.
+// per-job content-addressed keys as scalar execution, in memory and on
+// disk, so a fresh engine re-running the sweep over the same cache
+// directory recomputes nothing.
 func TestBatchCacheFanOut(t *testing.T) {
 	jobs := batchTestJobs()
-	jpath := filepath.Join(t.TempDir(), "sweep.journal")
-	jl, err := OpenJournal(jpath, jobs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCache("")
-	eng := New(Options{Workers: 2, Cache: c, Batch: true, Journal: jl})
-	if _, err := Flatten(eng.Run(context.Background(), jobs)); err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
+	c := NewCache(dir)
+	eng := New(Options{Workers: 2, Cache: c, Batch: true})
+	want := flatBytes(t, eng.Run(context.Background(), jobs))
+	onDisk := NewCache(dir)
 	for i := range jobs {
 		key := jobs[i].Key()
 		if _, ok := c.Get(key); !ok {
 			t.Errorf("job %d (%v) missing from the cache after a batch run", i, jobs[i].Workloads)
 		}
-		if !jl.Done(key) {
-			t.Errorf("job %d (%v) not journaled after a batch run", i, jobs[i].Workloads)
+		if _, ok := onDisk.GetDisk(key); !ok {
+			t.Errorf("job %d (%v) not persisted after a batch run", i, jobs[i].Workloads)
 		}
 	}
-	if err := jl.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	// Resume: the same sweep against the recorded journal + warm cache
-	// must execute nothing.
-	jl2, err := OpenJournal(jpath, jobs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = jl2.Close() }()
-	resumed := New(Options{Workers: 2, Cache: c, Batch: true, Journal: jl2})
+	// Re-run: the same sweep through a fresh engine over the same cache
+	// directory must execute nothing.
+	resumed := New(Options{Workers: 2, Cache: NewCache(dir), Batch: true})
 	out := resumed.Run(context.Background(), jobs)
-	if err := FirstError(out); err != nil {
-		t.Fatal(err)
-	}
 	if n := resumed.Executed(); n != 0 {
 		t.Errorf("resumed run executed %d simulations, want 0", n)
 	}
@@ -136,6 +115,9 @@ func TestBatchCacheFanOut(t *testing.T) {
 		if !out[i].Cached {
 			t.Errorf("resumed job %d not served from the cache", i)
 		}
+	}
+	if string(flatBytes(t, out)) != string(want) {
+		t.Error("re-run output differs from the first run")
 	}
 }
 

@@ -112,7 +112,7 @@ func (c *Cache) Get(key string) ([]core.Result, bool) {
 // batch scheduler's unit pre-check — so the traffic counters tell the
 // same story in batch and scalar mode. Plain Get stays uncounted for
 // probes that do not imply a computation (the cluster tier walk, the
-// journal resume pass).
+// results endpoint).
 func (c *Cache) GetCounted(key string) ([]core.Result, bool) {
 	if rs, ok := c.GetMem(key); ok {
 		c.hits.Inc()

@@ -18,11 +18,18 @@ import (
 // claim in this file.
 func flattenJSON(t *testing.T, e *Engine, ctx context.Context, jobs []Job) []byte {
 	t.Helper()
-	rs, err := Flatten(e.Run(ctx, jobs))
+	return flatBytes(t, e.Run(ctx, jobs))
+}
+
+// flatBytes returns the Flatten output of rs as JSON, failing the test
+// if any job failed.
+func flatBytes(t *testing.T, rs []JobResult) []byte {
+	t.Helper()
+	flat, err := Flatten(rs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := json.Marshal(rs)
+	raw, err := json.Marshal(flat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,27 +84,22 @@ func TestChaosDeterminismUnderFaults(t *testing.T) {
 }
 
 // TestChaosKillResumeCycle: phase 1 runs under faults (every job
-// panics once, half the disk reads fail) and is killed mid-sweep;
-// phase 2 reopens the journal fault-free and completes exactly the
-// remaining jobs, with the full sweep byte-identical to a clean run.
+// panics once) and is killed mid-sweep; phase 2 re-runs the sweep
+// fault-free through a fresh engine over the same cache directory and
+// executes exactly the remaining jobs, with the full sweep
+// byte-identical to a clean run.
 func TestChaosKillResumeCycle(t *testing.T) {
 	jobs := testJobs()
 	ref := flattenJSON(t, New(Options{Workers: 2}), context.Background(), jobs)
 
-	dir := t.TempDir()
-	cacheDir := filepath.Join(dir, "cache")
-	jpath := filepath.Join(dir, "sweep.journal")
+	cacheDir := filepath.Join(t.TempDir(), "cache")
 
 	// Phase 1: chaos + kill.
 	inj := fault.NewInjector(fault.Plan{Seed: 11, Rules: map[fault.Kind]fault.Rule{
 		fault.Panic:    {Prob: 1}, // every job's first attempt panics
 		fault.DiskRead: {Prob: 0.5},
 	}})
-	jl1, err := OpenJournal(jpath, jobs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e1 := New(Options{Workers: 1, Cache: NewCache(cacheDir), Retries: 2, Fault: inj, Journal: jl1})
+	e1 := New(Options{Workers: 1, Cache: NewCache(cacheDir), Retries: 2, Fault: inj})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var sims atomic.Int32
@@ -105,14 +107,11 @@ func TestChaosKillResumeCycle(t *testing.T) {
 	e1.simulate = func(j *Job) ([]core.Result, error) {
 		rs, err := inner(j)
 		if sims.Add(1) == 2 {
-			cancel() // the "kill": the first job is already journaled
+			cancel() // the "kill": the first job is already cached
 		}
 		return rs, err
 	}
 	first := e1.Run(ctx, jobs)
-	if err := jl1.Close(); err != nil {
-		t.Fatal(err)
-	}
 	if got := inj.Injected(fault.Panic); got < 2 {
 		t.Fatalf("phase 1 injected %d panics, want >= 2", got)
 	}
@@ -130,22 +129,22 @@ func TestChaosKillResumeCycle(t *testing.T) {
 		t.Fatalf("kill was not mid-sweep: %d/%d done", done, len(jobs))
 	}
 
-	// Phase 2: clean resume in a "new process".
-	jl2, err := OpenJournal(jpath, jobs, 0)
-	if err != nil {
-		t.Fatal(err)
+	// Phase 2: clean re-run in a "new process" over the same cache.
+	if n := len(NewCache(cacheDir).Keys()); n != done {
+		t.Fatalf("cache holds %d results, phase 1 reported %d done", n, done)
 	}
-	defer jl2.Close()
-	if jl2.DoneCount() != done {
-		t.Fatalf("journal has %d done, phase 1 reported %d", jl2.DoneCount(), done)
-	}
-	e2 := New(Options{Workers: 2, Cache: NewCache(cacheDir), Journal: jl2})
-	got := flattenJSON(t, e2, context.Background(), jobs)
-	if string(got) != string(ref) {
+	e2 := New(Options{Workers: 2, Cache: NewCache(cacheDir)})
+	second := e2.Run(context.Background(), jobs)
+	if string(flatBytes(t, second)) != string(ref) {
 		t.Fatal("resumed sweep diverged from the clean run")
 	}
 	if exec := e2.Executed(); exec != uint64(len(jobs)-done) {
 		t.Fatalf("phase 2 executed %d jobs, want exactly the %d remaining", exec, len(jobs)-done)
+	}
+	for i := range first {
+		if first[i].Status == StatusOK && !second[i].Cached {
+			t.Fatalf("job %d finished in phase 1 but was not served from the cache", i)
+		}
 	}
 }
 

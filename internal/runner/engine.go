@@ -52,11 +52,8 @@ type Options struct {
 	// exec-error and panic kinds) around job execution attempts. Chaos
 	// testing only; nil means faults off.
 	Fault *fault.Injector
-	// Journal, when non-nil, records every completed job so an
-	// interrupted sweep can resume from its last completed key.
-	Journal *Journal
 	// Logf receives rare human-facing diagnostics (panic stacks,
-	// journal write failures); nil discards them.
+	// batch and sampling fallbacks); nil discards them.
 	Logf func(format string, args ...any)
 	// Metrics, when non-nil, receives the engine's job counters and
 	// latency histogram (catch_engine_*). Handles are nil-safe, so an
@@ -66,8 +63,8 @@ type Options struct {
 	// warmup) budget and resolves each group through one lock-step
 	// core.RunBatch call over a shared materialized trace. Results are
 	// byte-identical to the scalar path and fan back out to the same
-	// per-job cache keys and journal records; any batch-level error
-	// falls back to scalar execution job by job.
+	// per-job cache keys; any batch-level error falls back to scalar
+	// execution job by job.
 	Batch bool
 	// Sample resolves eligible single-workload jobs by representative-
 	// interval sampling: profile once per workload, cluster intervals,
@@ -127,8 +124,6 @@ type Engine struct {
 	mFailed     *telemetry.Counter
 	mCanceled   *telemetry.Counter
 	mRetried    *telemetry.Counter
-	mResumed    *telemetry.Counter
-	mJournalErr *telemetry.Counter
 	mJobSeconds *telemetry.Histogram
 }
 
@@ -186,10 +181,6 @@ func New(opts Options) *Engine {
 			"Jobs cut short by context cancellation or drain (retryable, not failed).")
 		e.mRetried = r.Counter("catch_engine_jobs_retried_total",
 			"Extra simulation attempts after a failure or timeout.")
-		e.mResumed = r.Counter("catch_engine_jobs_resumed_total",
-			"Jobs served from the cache because a journal already recorded them.")
-		e.mJournalErr = r.Counter("catch_engine_journal_errors_total",
-			"Failed journal appends (the sweep continues; a resume may recompute).")
 		e.mJobSeconds = r.Histogram("catch_engine_job_seconds",
 			"Wall-clock latency of one job resolution.",
 			0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 60, 120)
@@ -224,7 +215,7 @@ func (e *Engine) FaultInjector() *fault.Injector { return e.opts.Fault }
 
 // Drain stops feeding new jobs to the workers: running jobs finish
 // normally, unfed jobs come back with Status Canceled so they can be
-// checkpointed and re-run later. Idempotent; the engine stays drained.
+// re-run later. Idempotent; the engine stays drained.
 func (e *Engine) Drain() { e.drainOnce.Do(func() { close(e.drain) }) }
 
 // Draining reports whether Drain has been called.
@@ -241,49 +232,23 @@ func (e *Engine) Draining() bool {
 // regardless of scheduling. Individual failures are reported in the
 // corresponding JobResult; Run itself only stops early if ctx is
 // cancelled or the engine drains (pending jobs then carry Status
-// Canceled). When Options.Journal is set, completed jobs are recorded
-// there and already-recorded jobs are served from the cache.
+// Canceled). Every job goes to the pool, and a job whose key is
+// already cached comes back Cached without computing, so re-running an
+// interrupted sweep over the same cache executes only the unfinished
+// jobs.
 func (e *Engine) Run(ctx context.Context, jobs []Job) []JobResult {
-	return e.RunJournaled(ctx, jobs, e.opts.Journal)
-}
-
-// RunJournaled is Run against an explicit journal (overriding the
-// engine-wide Options.Journal): jobs whose keys the journal already
-// records are resolved from the cache without occupying a worker, and
-// every newly completed job is appended to it.
-func (e *Engine) RunJournaled(ctx context.Context, jobs []Job, jl *Journal) []JobResult {
 	out := make([]JobResult, len(jobs))
 	if len(jobs) == 0 {
 		return out
 	}
 	// Sampling stamps specs onto eligible jobs before anything reads a
-	// key, so the journal, cache and results all agree on the job
-	// identity.
+	// key, so the cache and the results agree on the job identity.
 	if e.opts.Sample {
 		jobs = e.stampSampled(jobs)
 	}
-	// Resume pass: the journal's done set plus the cache replaces the
-	// computation entirely. A done key whose cached results are gone is
-	// simply recomputed — the journal is a hint, the cache is the data.
-	pending := make([]int, 0, len(jobs))
-	for i := range jobs {
-		key := jobs[i].Key()
-		if jl.Done(key) {
-			if rs, ok := e.cacheGet(key); ok {
-				out[i] = JobResult{Job: jobs[i], Key: key, Results: rs, Status: StatusOK, Cached: true}
-				e.mResumed.Inc()
-				e.mCompleted.Inc()
-				continue
-			}
-		}
-		pending = append(pending, i)
-	}
-	if len(pending) == 0 {
-		return out
-	}
 	// The scheduler hands workers whole units: singletons on the scalar
 	// path, (workload, insts, warmup) groups when batching is on.
-	units := e.planUnits(jobs, pending)
+	units := e.planUnits(jobs)
 	workers := min(e.opts.Workers, len(units))
 	feedCh := make(chan []int)
 	var wg sync.WaitGroup
@@ -292,7 +257,7 @@ func (e *Engine) RunJournaled(ctx context.Context, jobs []Job, jl *Journal) []Jo
 		go func() {
 			defer wg.Done()
 			for unit := range feedCh {
-				e.runUnit(ctx, jobs, unit, out, jl)
+				e.runUnit(ctx, jobs, unit, out)
 			}
 		}()
 	}
@@ -331,16 +296,9 @@ feed:
 	return out
 }
 
-// cacheGet reads key from the cache without computing anything.
-func (e *Engine) cacheGet(key string) ([]core.Result, bool) {
-	if e.opts.Cache == nil {
-		return nil, false
-	}
-	return e.opts.Cache.Get(key)
-}
-
-// cacheGetCounted is cacheGet with hit/miss accounting, used where a
-// miss means the engine is about to compute the job itself.
+// cacheGetCounted reads key from the cache with hit/miss accounting,
+// used where a miss means the engine is about to compute the job
+// itself.
 func (e *Engine) cacheGetCounted(key string) ([]core.Result, bool) {
 	if e.opts.Cache == nil {
 		return nil, false

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -211,5 +212,169 @@ func TestEngineMetricsCountRetriesAndFailures(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q\n%s", want, text)
 		}
+	}
+}
+
+// TestEngineResumesFromCache is the checkpointing contract: run 1
+// completes a prefix, and a fresh engine over the same cache directory
+// executes exactly the remaining jobs and returns the full, identical
+// sweep.
+func TestEngineResumesFromCache(t *testing.T) {
+	jobs := testJobs()
+	dir := filepath.Join(t.TempDir(), "cache")
+	e1 := New(Options{Workers: 2, Cache: NewCache(dir)})
+	first := e1.Run(context.Background(), jobs[:4]) // partial sweep
+	if err := FirstError(first); err != nil {
+		t.Fatal(err)
+	}
+
+	// Fresh process: a new engine and cache handle over the same dir.
+	// The first 4 jobs come from the cache; only the last 2 execute.
+	e2 := New(Options{Workers: 2, Cache: NewCache(dir)})
+	second := e2.Run(context.Background(), jobs)
+	if err := FirstError(second); err != nil {
+		t.Fatal(err)
+	}
+	if got := e2.Executed(); got != uint64(len(jobs)-4) {
+		t.Fatalf("resumed run executed %d jobs, want %d", got, len(jobs)-4)
+	}
+	for i := 0; i < 4; i++ {
+		if !second[i].Cached || second[i].Status != StatusOK {
+			t.Fatalf("job %d not resumed: %+v", i, second[i])
+		}
+	}
+	// Resumed results match the originals byte-for-byte, and the whole
+	// sweep matches a clean run.
+	for i := range first {
+		a, _ := json.Marshal(first[i].Results)
+		b, _ := json.Marshal(second[i].Results)
+		if string(a) != string(b) {
+			t.Fatalf("job %d diverged across resume", i)
+		}
+	}
+	ref := flattenJSON(t, New(Options{Workers: 2}), context.Background(), jobs)
+	if string(flatBytes(t, second)) != string(ref) {
+		t.Fatal("resumed sweep diverged from a clean run")
+	}
+	if n := len(NewCache(dir).Keys()); n != len(jobs) {
+		t.Fatalf("cache now holds %d results, want %d", n, len(jobs))
+	}
+}
+
+// TestCancelMidSweepMarksCanceledAndResumeCompletes: cancelling
+// mid-sweep yields partial results whose undone jobs are Canceled (not
+// Failed), and a fresh engine re-running the sweep over the same cache
+// completes exactly the remaining set.
+func TestCancelMidSweepMarksCanceledAndResumeCompletes(t *testing.T) {
+	jobs := testJobs()
+	cacheDir := filepath.Join(t.TempDir(), "cache")
+
+	e1 := New(Options{Workers: 1, Cache: NewCache(cacheDir)})
+	ctx, cancel := context.WithCancel(context.Background())
+	ran := 0
+	inner := e1.simulate
+	e1.simulate = func(j *Job) ([]core.Result, error) {
+		ran++
+		if ran == 2 {
+			cancel() // interrupt after the second job starts
+		}
+		return inner(j)
+	}
+	first := e1.Run(ctx, jobs)
+
+	var done, canceled int
+	for i := range first {
+		switch first[i].Status {
+		case StatusOK:
+			done++
+		case StatusCanceled:
+			canceled++
+		default:
+			t.Fatalf("job %d: status %q (err %q), want ok or canceled",
+				i, first[i].Status, first[i].Err)
+		}
+	}
+	if done == 0 || canceled == 0 || done+canceled != len(jobs) {
+		t.Fatalf("done=%d canceled=%d of %d", done, canceled, len(jobs))
+	}
+
+	if n := len(NewCache(cacheDir).Keys()); n != done {
+		t.Fatalf("cache holds %d results, sweep reported %d done", n, done)
+	}
+	e2 := New(Options{Workers: 2, Cache: NewCache(cacheDir)})
+	second := e2.Run(context.Background(), jobs)
+	if err := FirstError(second); err != nil {
+		t.Fatal(err)
+	}
+	if got := e2.Executed(); got != uint64(canceled) {
+		t.Fatalf("resume executed %d jobs, want exactly the %d canceled ones", got, canceled)
+	}
+	for i := range first {
+		if first[i].Status == StatusOK && !second[i].Cached {
+			t.Fatalf("job %d finished before the cancel but was not served from the cache", i)
+		}
+	}
+	ref := flattenJSON(t, New(Options{Workers: 2}), context.Background(), jobs)
+	if string(flatBytes(t, second)) != string(ref) {
+		t.Fatal("resumed sweep diverged from a clean run")
+	}
+}
+
+// TestDrainStopsFeedingAndMarksCanceled: running jobs finish, unfed
+// jobs come back canceled with ErrDraining.
+func TestDrainStopsFeedingAndMarksCanceled(t *testing.T) {
+	jobs := testJobs()
+	e := New(Options{Workers: 1})
+	inner := e.simulate
+	first := true
+	e.simulate = func(j *Job) ([]core.Result, error) {
+		if first { // drain mid-flight, from inside the first running job
+			first = false
+			e.Drain()
+		}
+		return inner(j)
+	}
+	rs := e.Run(context.Background(), jobs)
+	if !e.Draining() {
+		t.Fatal("Draining() false after Drain")
+	}
+	var ok, canceled int
+	for i := range rs {
+		switch rs[i].Status {
+		case StatusOK:
+			ok++
+		case StatusCanceled:
+			if !strings.Contains(rs[i].Err, ErrDraining.Error()) {
+				t.Fatalf("job %d err = %q", i, rs[i].Err)
+			}
+			canceled++
+		default:
+			t.Fatalf("job %d status %q", i, rs[i].Status)
+		}
+	}
+	if ok == 0 || canceled == 0 {
+		t.Fatalf("ok=%d canceled=%d: drain either killed running jobs or stopped nothing", ok, canceled)
+	}
+}
+
+func TestPanicCapturesStackAndLogsOnce(t *testing.T) {
+	var logs []string
+	e := New(Options{
+		Workers: 1, Retries: 2,
+		Logf: func(format string, args ...any) {
+			logs = append(logs, strings.Split(strings.TrimSpace(format), "\n")[0])
+		},
+	})
+	e.simulate = func(*Job) ([]core.Result, error) { panic("boom at cycle 42") }
+	rs := e.Run(context.Background(), []Job{STJob(config.BaselineExclusive(), "hmmer", tInsts, tWarmup)})
+	if rs[0].Status != StatusFailed || !strings.Contains(rs[0].Err, "job panicked: boom at cycle 42") {
+		t.Fatalf("result = %+v", rs[0])
+	}
+	if !strings.Contains(rs[0].Stack, "runner.") {
+		t.Fatalf("no stack captured: %q", rs[0].Stack)
+	}
+	// Three attempts panicked; the stack is logged exactly once.
+	if len(logs) != 1 {
+		t.Fatalf("panic logged %d times, want 1: %v", len(logs), logs)
 	}
 }

@@ -17,8 +17,8 @@ import (
 
 // stampSampled returns a copy of jobs with the engine's sampling
 // defaults applied to every eligible job (single-workload, spec
-// valid). It runs before the journal resume pass so stamped keys are
-// the ones journaled and cached. Ineligible jobs pass through
+// valid). It runs before any job is keyed, so stamped keys are the
+// ones cached. Ineligible jobs pass through
 // unstamped and simulate in full.
 func (e *Engine) stampSampled(jobs []Job) []Job {
 	out := append([]Job(nil), jobs...)

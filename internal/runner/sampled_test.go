@@ -3,7 +3,6 @@ package runner
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"testing"
 
 	"catch/internal/config"
@@ -116,37 +115,38 @@ func TestSampledStampSkipsIneligible(t *testing.T) {
 	}
 }
 
-// TestSampledResumeRoundTrip pins that a journaled sampled sweep
-// resumes without recomputation: stamping happens before the resume
-// pass, so the journaled keys are the stamped ones and the second run
-// serves every job from the journal's done set plus the cache.
+// TestSampledResumeRoundTrip pins that a sampled sweep re-run over the
+// same cache recomputes nothing: stamping happens before any job is
+// keyed, so the cached keys are the stamped ones and a fresh engine
+// over the same cache directory serves every job from it.
 func TestSampledResumeRoundTrip(t *testing.T) {
 	const insts = 2_000
 	jobs := sampleGrid(insts)[:2]
 	dir := t.TempDir()
-	jl, err := OpenJournal(filepath.Join(dir, "sweep.journal"), jobs, 0)
-	if err != nil {
-		t.Fatalf("open journal: %v", err)
-	}
-	defer jl.Close()
-	eng := New(Options{
-		Workers: 1, Cache: NewCache(""), Journal: jl,
-		Sample: true, SampleInterval: 500, SampleK: 2,
-	})
-	if err := FirstError(eng.Run(context.Background(), jobs)); err != nil {
+	opts := Options{Workers: 1, Cache: NewCache(dir), Sample: true, SampleInterval: 500, SampleK: 2}
+	eng := New(opts)
+	first := eng.Run(context.Background(), jobs)
+	if err := FirstError(first); err != nil {
 		t.Fatalf("first run: %v", err)
 	}
-	ran := eng.Executed()
-	rs := eng.Run(context.Background(), jobs)
+	if eng.Executed() == 0 {
+		t.Fatal("first run executed nothing")
+	}
+	opts.Cache = NewCache(dir) // a fresh process over the same directory
+	resumed := New(opts)
+	rs := resumed.Run(context.Background(), jobs)
 	if err := FirstError(rs); err != nil {
 		t.Fatalf("resume run: %v", err)
 	}
-	if eng.Executed() != ran {
-		t.Errorf("resume recomputed: executions went %d -> %d", ran, eng.Executed())
+	if n := resumed.Executed(); n != 0 {
+		t.Errorf("resume recomputed %d jobs", n)
 	}
 	for i := range rs {
 		if !rs[i].Cached {
 			t.Errorf("job %d not served from cache on resume", i)
 		}
+	}
+	if string(flatBytes(t, rs)) != string(flatBytes(t, first)) {
+		t.Error("resumed sampled sweep diverged from the first run")
 	}
 }

@@ -2,16 +2,12 @@ package runner
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/pprof"
-	"path/filepath"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -52,12 +48,6 @@ type Server struct {
 	// context; jobs cut short report Status Canceled and a fully
 	// canceled run maps to 504. <=0 means no server-side deadline.
 	RequestTimeout time.Duration
-	// JournalDir enables resumable sweeps: a POST /v1/sweep with
-	// {"resumable": true} journals per-job completion under this
-	// directory, keyed by a hash of the sweep's job keys, and a repeat
-	// of the same sweep resumes from the last completed job. Empty
-	// disables journaling.
-	JournalDir string
 	// ResultMaxAge is the Cache-Control max-age stamped on GET
 	// /v1/results/{key} responses; <=0 means DefaultResultMaxAge
 	// (results are content-addressed, hence immutable).
@@ -82,9 +72,6 @@ type Server struct {
 	waiting  atomic.Int64
 	draining atomic.Bool
 	mShed    *telemetry.Counter
-
-	jmu      sync.Mutex
-	journals map[string]bool // sweep journals currently held open
 }
 
 // RunRequest is the body of POST /v1/run. Workload names a
@@ -98,15 +85,55 @@ type RunRequest struct {
 }
 
 // SweepRequest is the body of POST /v1/sweep. Empty Workloads means
-// the full 70-workload study list. Resumable journals the sweep under
-// the server's JournalDir so an interrupted sweep picks up where it
-// stopped when re-POSTed.
+// the full 70-workload study list. Re-POSTing a sweep over the same
+// cache serves its finished jobs from the cache, so an interrupted
+// sweep continues by being sent again.
 type SweepRequest struct {
 	Configs   []string `json:"configs"`
 	Workloads []string `json:"workloads,omitempty"`
 	Insts     int64    `json:"insts,omitempty"`
 	Warmup    int64    `json:"warmup,omitempty"`
-	Resumable bool     `json:"resumable,omitempty"`
+}
+
+// Jobs validates the request and expands it into its (configs ×
+// workloads) grid, configs outer. Zero Insts and Warmup take the
+// defaults of POST /v1/run. A repeated config, a repeated workload and
+// an unknown name are rejected before anything is expanded, so a grid
+// never exceeds the names resolve knows times len(workloads.All()).
+func (req *SweepRequest) Jobs(resolve ConfigResolver) ([]Job, error) {
+	if len(req.Configs) == 0 {
+		return nil, errors.New("sweep needs at least one config")
+	}
+	grid := Grid{Insts: defInsts(req.Insts), Warmup: defWarmup(req.Warmup)}
+	seen := make(map[string]bool)
+	for _, name := range req.Configs {
+		if seen[name] {
+			return nil, fmt.Errorf("config %q appears more than once", name)
+		}
+		seen[name] = true
+		cfg, ok := resolve(name)
+		if !ok {
+			return nil, fmt.Errorf("unknown config %q", name)
+		}
+		grid.Configs = append(grid.Configs, cfg)
+	}
+	clear(seen)
+	for _, name := range req.Workloads {
+		if seen[name] {
+			return nil, fmt.Errorf("workload %q appears more than once", name)
+		}
+		seen[name] = true
+	}
+	if _, err := resolveWorkloads(req.Workloads); err != nil {
+		return nil, err
+	}
+	grid.Workloads = req.Workloads
+	if len(grid.Workloads) == 0 {
+		for _, wl := range workloads.All() {
+			grid.Workloads = append(grid.Workloads, wl.WName)
+		}
+	}
+	return grid.Jobs(), nil
 }
 
 type errorBody struct {
@@ -122,7 +149,6 @@ func (s *Server) Handler() http.Handler {
 	}
 	s.sem = make(chan struct{}, n)
 	s.start = time.Now()
-	s.journals = make(map[string]bool)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/run", s.limited(s.handleRun))
 	mux.HandleFunc("POST /v1/sweep", s.limited(s.handleSweep))
@@ -287,8 +313,8 @@ func (s *Server) shed(w http.ResponseWriter, msg string) {
 
 // BeginDrain flips the server into drain mode: new run/sweep requests
 // are shed, the engine stops feeding queued jobs (they come back
-// Status Canceled, checkpointed by any active journal), and running
-// jobs finish normally. Idempotent.
+// Status Canceled; re-sending the request later computes only them),
+// and running jobs finish normally. Idempotent.
 func (s *Server) BeginDrain() {
 	if s.draining.CompareAndSwap(false, true) {
 		s.Engine.Drain()
@@ -345,113 +371,25 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{"bad request body: " + err.Error()})
 		return
 	}
-	if len(req.Configs) == 0 {
-		writeJSON(w, http.StatusBadRequest, errorBody{"sweep needs at least one config"})
+	jobs, err := req.Jobs(s.Resolve)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, errorBody{err.Error()})
 		return
 	}
-	wls := req.Workloads
-	if len(wls) == 0 {
-		for _, wl := range workloads.All() {
-			wls = append(wls, wl.WName)
-		}
-	}
-	grid := Grid{Insts: defInsts(req.Insts), Warmup: defWarmup(req.Warmup), Workloads: wls}
-	for _, name := range req.Configs {
-		cfg, ok := s.Resolve(name)
-		if !ok {
-			writeJSON(w, http.StatusBadRequest, errorBody{fmt.Sprintf("unknown config %q", name)})
-			return
-		}
-		grid.Configs = append(grid.Configs, cfg)
-	}
-	jobs := grid.Jobs()
-
-	var jl *Journal
-	var journalID string
-	resumed := 0
-	if req.Resumable && s.JournalDir != "" {
-		var err error
-		jl, journalID, err = s.openSweepJournal(jobs)
-		if err != nil {
-			writeJSON(w, http.StatusConflict, errorBody{err.Error()})
-			return
-		}
-		defer s.closeSweepJournal(journalID, jl)
-		resumed = jl.DoneCount()
-	}
-
 	start := time.Now()
-	var out []JobResult
-	if jl != nil {
-		out = s.Engine.RunJournaled(r.Context(), jobs, jl)
-	} else {
-		out = s.Engine.Run(r.Context(), jobs)
-	}
+	out := s.Engine.Run(r.Context(), jobs)
 	canceled := 0
 	for i := range out {
 		if out[i].Status == StatusCanceled {
 			canceled++
 		}
 	}
-	resp := map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"jobs":      out,
 		"canceled":  canceled,
 		"elapsedMs": time.Since(start).Milliseconds(),
 		"cache":     s.cacheStats(),
-	}
-	if jl != nil {
-		resp["journal"] = journalID
-		resp["resumed"] = resumed
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// sweepID content-addresses a sweep: a hash over its job keys, so the
-// same grid maps to the same journal across requests and restarts.
-func sweepID(jobs []Job) string {
-	h := sha256.New()
-	for i := range jobs {
-		_, _ = io.WriteString(h, jobs[i].Key()) // hash.Hash writes never fail
-	}
-	return hex.EncodeToString(h.Sum(nil))[:32]
-}
-
-// OpenShardJournal opens the content-addressed journal for a job set
-// under dir — the same dir+sweepID layout the sweep endpoint uses, so
-// a shard re-dispatched to the same node resumes from its own journal.
-// Unlike openSweepJournal it does no concurrent-use bookkeeping; the
-// cluster layer serializes shard execution per node.
-func OpenShardJournal(dir string, jobs []Job) (*Journal, error) {
-	return OpenJournal(filepath.Join(dir, sweepID(jobs)+".journal"), jobs, 0)
-}
-
-// openSweepJournal opens the per-sweep journal, refusing concurrent
-// use of one journal (two writers would interleave appends).
-func (s *Server) openSweepJournal(jobs []Job) (*Journal, string, error) {
-	id := sweepID(jobs)
-	s.jmu.Lock()
-	if s.journals[id] {
-		s.jmu.Unlock()
-		return nil, "", fmt.Errorf("sweep %s is already running; retry when it finishes", id)
-	}
-	s.journals[id] = true
-	s.jmu.Unlock()
-	jl, err := OpenJournal(filepath.Join(s.JournalDir, id+".journal"), jobs, 0)
-	if err != nil {
-		s.jmu.Lock()
-		delete(s.journals, id)
-		s.jmu.Unlock()
-		return nil, "", err
-	}
-	return jl, id, nil
-}
-
-func (s *Server) closeSweepJournal(id string, jl *Journal) {
-	// Close errors only cost resume coverage, never the response.
-	_ = jl.Close()
-	s.jmu.Lock()
-	delete(s.journals, id)
-	s.jmu.Unlock()
+	})
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {

@@ -141,58 +141,53 @@ func TestRequestTimeoutMapsCanceledRunTo504(t *testing.T) {
 	}
 }
 
-// TestResumableSweepJournalsAndResumes: a resumable sweep writes a
-// journal keyed by the sweep's content, and re-POSTing the same sweep
-// serves every job from the journal+cache without re-executing.
-func TestResumableSweepJournalsAndResumes(t *testing.T) {
-	dir := t.TempDir()
-	e := New(Options{Workers: 2, Cache: NewCache(filepath.Join(dir, "cache"))})
-	s := &Server{Engine: e, Resolve: testResolve, JournalDir: filepath.Join(dir, "journals")}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
+// TestSweepRePOSTServedFromCache: a sweep re-POSTed to a restarted
+// server over the same cache directory is served entirely from the
+// cache, with output byte-identical to the first response.
+func TestSweepRePOSTServedFromCache(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
 	req := SweepRequest{
 		Configs: []string{"baseline-excl"}, Workloads: []string{"hmmer", "mcf"},
-		Insts: 5_000, Warmup: 1_000, Resumable: true,
+		Insts: 5_000, Warmup: 1_000,
 	}
-	var body struct {
+	type sweepBody struct {
 		Jobs     []JobResult `json:"jobs"`
-		Journal  string      `json:"journal"`
-		Resumed  int         `json:"resumed"`
 		Canceled int         `json:"canceled"`
 	}
-	resp, raw := postJSON(t, ts.URL+"/v1/sweep", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sweep 1 = %d: %s", resp.StatusCode, raw)
-	}
-	if err := json.Unmarshal(raw, &body); err != nil {
-		t.Fatal(err)
-	}
-	if body.Journal == "" || body.Resumed != 0 || body.Canceled != 0 || len(body.Jobs) != 2 {
-		t.Fatalf("sweep 1 body: journal=%q resumed=%d canceled=%d jobs=%d",
-			body.Journal, body.Resumed, body.Canceled, len(body.Jobs))
-	}
-	if e.Executed() != 2 {
-		t.Fatalf("executed %d", e.Executed())
+	// sweep starts a server over dir, POSTs req once and stops it.
+	sweep := func() (*Engine, sweepBody) {
+		e := New(Options{Workers: 2, Cache: NewCache(dir)})
+		ts := httptest.NewServer((&Server{Engine: e, Resolve: testResolve}).Handler())
+		defer ts.Close()
+		resp, raw := postJSON(t, ts.URL+"/v1/sweep", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("sweep = %d: %s", resp.StatusCode, raw)
+		}
+		var body sweepBody
+		if err := json.Unmarshal(raw, &body); err != nil {
+			t.Fatal(err)
+		}
+		if body.Canceled != 0 || len(body.Jobs) != 2 {
+			t.Fatalf("sweep body: canceled=%d jobs=%d", body.Canceled, len(body.Jobs))
+		}
+		return e, body
 	}
 
-	resp, raw = postJSON(t, ts.URL+"/v1/sweep", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sweep 2 = %d: %s", resp.StatusCode, raw)
+	e1, first := sweep()
+	if e1.Executed() != 2 {
+		t.Fatalf("first sweep executed %d, want 2", e1.Executed())
 	}
-	if err := json.Unmarshal(raw, &body); err != nil {
-		t.Fatal(err)
+	e2, second := sweep()
+	if e2.Executed() != 0 {
+		t.Fatalf("re-POST after restart executed %d, want 0", e2.Executed())
 	}
-	if body.Resumed != 2 {
-		t.Fatalf("sweep 2 resumed = %d, want 2", body.Resumed)
-	}
-	if e.Executed() != 2 {
-		t.Fatalf("re-POST re-executed: %d", e.Executed())
-	}
-	for i := range body.Jobs {
-		if !body.Jobs[i].Cached || body.Jobs[i].Status != StatusOK {
-			t.Fatalf("sweep 2 job %d: %+v", i, body.Jobs[i])
+	for i := range second.Jobs {
+		if !second.Jobs[i].Cached || second.Jobs[i].Status != StatusOK {
+			t.Fatalf("sweep 2 job %d: %+v", i, second.Jobs[i])
 		}
+	}
+	if string(flatBytes(t, first.Jobs)) != string(flatBytes(t, second.Jobs)) {
+		t.Fatal("re-POSTed sweep diverged from the first response")
 	}
 }
 

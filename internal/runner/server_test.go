@@ -18,6 +18,7 @@ import (
 	"catch/internal/config"
 	"catch/internal/core"
 	"catch/internal/telemetry"
+	"catch/internal/workloads"
 )
 
 func testResolve(name string) (config.SystemConfig, bool) {
@@ -242,6 +243,96 @@ func TestSweepEndpoint(t *testing.T) {
 	}
 	if body.Jobs[0].Job.Config.Name != "baseline-excl" || body.Jobs[0].Results[0].Workload != "hmmer" {
 		t.Fatalf("sweep order wrong: %+v", body.Jobs[0].Job)
+	}
+}
+
+// TestSweepRequestJobs pins the sweep expansion both servers share:
+// defaults, grid order, and the rejections that bound a grid by the two
+// registries before anything is expanded.
+func TestSweepRequestJobs(t *testing.T) {
+	all := len(workloads.All())
+	tests := []struct {
+		name    string
+		req     SweepRequest
+		wantN   int
+		wantErr string
+	}{
+		{"default budget", SweepRequest{Configs: []string{"catch"}, Workloads: []string{"mcf"}}, 1, ""},
+		{"empty workloads means all", SweepRequest{Configs: []string{"baseline-excl", "catch"}}, 2 * all, ""},
+		{"no configs", SweepRequest{Workloads: []string{"mcf"}}, 0, "sweep needs at least one config"},
+		{"unknown config", SweepRequest{Configs: []string{"nosuch"}}, 0, `unknown config "nosuch"`},
+		{"repeated config", SweepRequest{Configs: []string{"catch", "catch"}, Workloads: []string{"mcf"}},
+			0, `config "catch" appears more than once`},
+		{"repeated workload", SweepRequest{Configs: []string{"catch"}, Workloads: []string{"mcf", "hmmer", "mcf"}},
+			0, `workload "mcf" appears more than once`},
+		{"unknown workload", SweepRequest{Configs: []string{"catch"}, Workloads: []string{"mcf", "nosuch"}},
+			0, `unknown workload(s): "nosuch"`},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			jobs, err := tt.req.Jobs(testResolve)
+			if tt.wantErr != "" {
+				if err == nil || err.Error() != tt.wantErr {
+					t.Fatalf("err = %v, want %q", err, tt.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(jobs) != tt.wantN {
+				t.Fatalf("%d jobs, want %d", len(jobs), tt.wantN)
+			}
+			for i := range jobs {
+				if jobs[i].Insts != 300_000 || jobs[i].Warmup != 150_000 {
+					t.Fatalf("job %d budget = %d/%d, want the 300000/150000 defaults",
+						i, jobs[i].Insts, jobs[i].Warmup)
+				}
+			}
+		})
+	}
+
+	// Explicit budgets pass through; a negative warmup means none.
+	jobs, err := (&SweepRequest{Configs: []string{"baseline-excl", "catch"}, Workloads: []string{"mcf", "hmmer"},
+		Insts: 5_000, Warmup: -1}).Jobs(testResolve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, j := range jobs {
+		if j.Insts != 5_000 || j.Warmup != 0 {
+			t.Fatalf("budget = %d/%d, want 5000/0", j.Insts, j.Warmup)
+		}
+		got = append(got, j.Config.Name+"/"+j.Workloads[0])
+	}
+	want := []string{"baseline-excl/mcf", "baseline-excl/hmmer", "catch/mcf", "catch/hmmer"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("grid order = %v, want %v (configs outer)", got, want)
+	}
+}
+
+// TestSweepRejectsRepeatedAndUnknownNames: a sweep body that repeats a
+// config or names an unknown workload is a 400 with a JSON error, and
+// nothing runs.
+func TestSweepRejectsRepeatedAndUnknownNames(t *testing.T) {
+	e := New(Options{Workers: 1, Cache: NewCache("")})
+	ts := newTestServer(e)
+	defer ts.Close()
+	for _, body := range []string{
+		`{"configs":["catch","catch"],"workloads":["mcf"]}`,
+		`{"configs":["catch"],"workloads":["nosuch"]}`,
+	} {
+		resp, raw := postJSON(t, ts.URL+"/v1/sweep", json.RawMessage(body))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400 (%s)", body, resp.StatusCode, raw)
+		}
+		var eb errorBody
+		if err := json.Unmarshal(raw, &eb); err != nil || eb.Error == "" {
+			t.Fatalf("%s: want a JSON error body, got %s", body, raw)
+		}
+	}
+	if n := e.Executed(); n != 0 {
+		t.Fatalf("rejected sweeps executed %d simulations", n)
 	}
 }
 
