@@ -33,11 +33,11 @@ partition-smoke:
 
 # fuzz-smoke runs every native fuzz target for a short -fuzztime
 # beyond its seed corpus (which plain `go test` already replays): the
-# warm-snapshot decoder, the fault-plan parser, the benchmark-output
-# parser and the POST /v1/sweep body. Go fuzzes one target per
-# invocation, hence one line per target.
+# POST /v1/run body, the fault-plan parser, the benchmark-output parser
+# and the POST /v1/sweep body. Go fuzzes one target per invocation,
+# hence one line per target.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWarm$$' -fuzztime 10s ./internal/sample
+	$(GO) test -run '^$$' -fuzz '^FuzzRunRequest$$' -fuzztime 10s ./internal/runner
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 10s ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/perf
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepRequest$$' -fuzztime 10s ./internal/runner
@@ -46,7 +46,9 @@ fuzz-smoke:
 # the fig13 grid run through a sampling engine must reproduce every
 # per-workload normalized performance ratio within 2% of the exact run
 # while measuring at least 10x fewer instructions, with zero fallbacks
-# to full simulation. Bypasses the go test cache so it always re-proves.
+# to full simulation, and its results must hash to the committed
+# sampled golden value. Bypasses the go test cache so it always
+# re-proves.
 sample-smoke:
 	$(GO) test -run 'TestSampleSmokeFig13' -count=1 ./internal/experiments
 
@@ -97,8 +99,8 @@ test:
 
 # race runs everything under the race detector; internal/cluster,
 # internal/sample and internal/memo run twice because their
-# interleavings (work stealing, concurrent store access, coalesced
-# fills) differ run to run.
+# interleavings (work stealing, the sampling profile memo's coalescing,
+# coalesced fills) differ run to run.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/cluster ./internal/sample ./internal/memo

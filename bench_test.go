@@ -211,8 +211,8 @@ func BenchmarkSimScalar8(b *testing.B) {
 
 // BenchmarkSimSampled measures the representative-interval sampling
 // path in its steady-state sweep regime: the planner's profile and
-// warm-snapshot caches are primed, so each iteration restores warm
-// state, steps the gaps and measures only the representative windows.
+// trace caches are primed, so each iteration warms a fresh system in
+// place, steps the gaps and measures only the representative windows.
 // The instrs/s metric counts the full budget each run estimates
 // (effective simulated instructions per second); the ratio against
 // BenchmarkSimCATCH is the end-to-end sampled speedup.

@@ -27,10 +27,8 @@
 // enables the deterministic chaos layer (never in production).
 //
 // -sample resolves eligible jobs by representative-interval sampling
-// (profile → cluster → measure representatives from warm snapshots →
-// extrapolate); -snap-dir persists the warm-state snapshots so
-// repeated sweeps over the same workloads restore instead of
-// re-warming. Sampled results are approximate, carry error estimates,
+// (profile → cluster → warm in place and measure representatives →
+// extrapolate). Sampled results are approximate, carry error estimates,
 // and cache under different keys than exact results; sampling failures
 // fall back to full simulation and are counted in /healthz and
 // /metrics.
@@ -80,7 +78,6 @@ import (
 	"catch/internal/experiments"
 	"catch/internal/fault"
 	"catch/internal/runner"
-	"catch/internal/sample"
 	"catch/internal/telemetry"
 )
 
@@ -255,7 +252,6 @@ func main() {
 		sampleOn = flag.Bool("sample", false, "resolve eligible jobs by representative-interval sampling (approximate results with error bars; failures fall back to full simulation)")
 		sampleIv = flag.Int64("sample-interval", 0, "sampling interval length in instructions (0 derives insts/16 per job)")
 		sampleK  = flag.Int("sample-k", 0, "representative intervals to measure per job (0 defaults to 4)")
-		snapDir  = flag.String("snap-dir", "", "warm-snapshot store directory for -sample (empty = in-memory only)")
 
 		peers         = flag.String("peers", "", "comma-separated base URLs of every cluster member, self included (empty = single node)")
 		self          = flag.String("self", "", "this node's own base URL from -peers")
@@ -301,10 +297,6 @@ func main() {
 	}
 
 	reg := telemetry.NewRegistry()
-	var snaps *sample.Store
-	if *sampleOn && *snapDir != "" {
-		snaps = sample.NewStore(*snapDir)
-	}
 	eng := runner.New(runner.Options{
 		Workers:        *parallel,
 		Cache:          runner.NewCacheOpts(runner.CacheOptions{Dir: *cacheDir, FS: fs, Breaker: breaker}),
@@ -315,7 +307,6 @@ func main() {
 		Sample:         *sampleOn,
 		SampleInterval: *sampleIv,
 		SampleK:        *sampleK,
-		Snapshots:      snaps,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "catchd: "+format+"\n", args...)
 		},

@@ -153,7 +153,7 @@ func main() {
 		cacheDir = flag.String("cache", "", "result cache directory (empty = in-memory only); a re-run over it computes only the missing jobs")
 		batch    = flag.Bool("batch", false, "lock-step configurations sharing a workload through one memoized trace (results are byte-identical to scalar)")
 
-		sampleOn = flag.Bool("sample", false, "representative-interval sampling: measure only clustered representatives from warm snapshots (approximate results with error bars)")
+		sampleOn = flag.Bool("sample", false, "representative-interval sampling: measure only clustered representatives on a system warmed in place (approximate results with error bars)")
 		sampleIv = flag.Int64("sample-interval", 0, "sampling interval length in instructions (0 derives -insts/16; must divide -insts)")
 		sampleK  = flag.Int("sample-k", 0, "representative intervals to measure per job (0 defaults to 4)")
 	)

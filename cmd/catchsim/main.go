@@ -34,9 +34,9 @@
 //
 // -sample resolves eligible jobs by representative-interval sampling:
 // the workload is profiled once, intervals cluster into -sample-k
-// groups, and only one representative per group is simulated (restored
-// from a warm microarchitectural snapshot) before extrapolating the
-// full-run statistics. Sampled results are approximate — they carry a
+// groups, and only one representative per group is simulated (on a
+// system warmed in place, with the gaps between windows stepped) before
+// extrapolating the full-run statistics. Sampled results are approximate — they carry a
 // SampleMeta block with per-metric error estimates — and cache under
 // different keys than exact ones. Any sampling failure falls back to
 // full simulation of the same job.
@@ -183,7 +183,7 @@ func main() {
 		cacheDir = flag.String("cache", "", "result cache directory (empty = in-memory only); re-running an interrupted sweep over it computes only the missing jobs")
 		batch    = flag.Bool("batch", false, "lock-step configurations sharing a workload through one memoized trace (results are byte-identical to scalar)")
 
-		sampleOn = flag.Bool("sample", false, "representative-interval sampling: profile, cluster, simulate only representatives from warm snapshots (extrapolated results carry error bars)")
+		sampleOn = flag.Bool("sample", false, "representative-interval sampling: profile, cluster, warm in place, simulate only representatives (extrapolated results carry error bars)")
 		sampleIv = flag.Int64("sample-interval", 0, "sampling interval length in instructions (0 derives -n/16; must divide -n)")
 		sampleK  = flag.Int("sample-k", 0, "representative intervals to measure per job (0 defaults to 4)")
 	)

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"math"
 	"runtime"
 	"testing"
@@ -23,6 +26,14 @@ const (
 	// representatives cancels much of the raw-IPC error.
 	smokeMaxRelErr = 0.02
 )
+
+// goldenSampledFig13Hash pins the sampled path byte for byte: the
+// SHA-256 of json.Marshal of the sampled fig13 grid that
+// TestSampleSmokeFig13 computes (goldenFig13Budget, interval
+// smokeSampleInterval, K smokeSampleK). The accuracy bound alone lets
+// a change move sampled results by up to 2% unseen. Only an intended
+// change to sampling or extrapolation may re-record it.
+const goldenSampledFig13Hash = "2026270a9f2a48b40b85900b59c51291b308cc258effd3386dd5ea382e102b5c"
 
 // TestSampleSmokeFig13 is the end-to-end accuracy gate for
 // representative-interval sampling: the fig13 grid run through a
@@ -48,6 +59,17 @@ func TestSampleSmokeFig13(t *testing.T) {
 	UseEngine(seng)
 	defer UseEngine(nil)
 	sampled := runGrid(cfgs, b)
+
+	raw, err := json.Marshal(sampled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(raw)
+	if got := hex.EncodeToString(sum[:]); got != goldenSampledFig13Hash {
+		t.Errorf("sampled fig13 hash changed:\n got %s\nwant %s\n"+
+			"If sampling or extrapolation intentionally changed, update goldenSampledFig13Hash in sample_test.go.",
+			got, goldenSampledFig13Hash)
+	}
 
 	jobs := len(cfgs) * len(b.workloads())
 	if got := seng.Sampled(); got != uint64(jobs) {

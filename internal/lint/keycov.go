@@ -10,8 +10,7 @@ import (
 
 // NewKeyCoverage builds the analyzer that proves content keys see
 // every behavior-affecting field. Key-derivation functions are marked
-// //catch:keyfn (Job.Key, ConfigFingerprint, the sample store path
-// function). For each keyfn:
+// //catch:keyfn (Job.Key, ConfigFingerprint). For each keyfn:
 //
 //   - every struct type passed to json.Marshal is walked recursively:
 //     an unexported field or a json:"-" field is invisible to the

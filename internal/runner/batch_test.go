@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -173,5 +174,36 @@ func TestResolveWorkloadsReportsAll(t *testing.T) {
 	}
 	if strings.Contains(err.Error(), "mcf") || strings.Contains(err.Error(), "hmmer") {
 		t.Errorf("error %q names known workloads", err)
+	}
+}
+
+// TestValidateBoundsWorkloadsByRingStops pins the width bound: a job
+// may run at most one workload per ring stop, because a core placed
+// past the ring has no stop and the ring model's hop count goes
+// negative. Every registered config has 8 stops.
+func TestValidateBoundsWorkloadsByRingStops(t *testing.T) {
+	cfg := config.BaselineExclusive()
+	names := func(n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = "mcf"
+		}
+		return out
+	}
+	if j := MPJob(cfg, names(cfg.RingStops), 100, 10); j.Validate() != nil {
+		t.Errorf("Validate rejected %d workloads on %d ring stops: %v", cfg.RingStops, cfg.RingStops, j.Validate())
+	}
+	j := MPJob(cfg, names(cfg.RingStops+1), 100, 10)
+	err := j.Validate()
+	if err == nil {
+		t.Fatalf("Validate accepted %d workloads on %d ring stops", cfg.RingStops+1, cfg.RingStops)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("%d workloads", cfg.RingStops+1),
+		fmt.Sprintf("%d ring stops", cfg.RingStops),
+	} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not say %q", err, want)
+		}
 	}
 }

@@ -68,9 +68,10 @@ type Options struct {
 	Batch bool
 	// Sample resolves eligible single-workload jobs by representative-
 	// interval sampling: profile once per workload, cluster intervals,
-	// simulate only cluster representatives from a warm-state snapshot
-	// and extrapolate. Results carry a SampleMeta with error bars; any
-	// sampling failure falls back to full simulation of that job.
+	// warm the job's system in place, simulate only cluster
+	// representatives and extrapolate. Results carry a SampleMeta with
+	// error bars; any sampling failure falls back to full simulation of
+	// that job.
 	Sample bool
 	// SampleInterval is the interval length in instructions; <=0
 	// derives insts/DefaultSampleIntervals per job.
@@ -78,10 +79,6 @@ type Options struct {
 	// SampleK is the clusters (representatives simulated) per job;
 	// <=0 means DefaultSampleK.
 	SampleK int
-	// Snapshots is the warm-state snapshot store the sampling path
-	// restores from; nil (with Sample set) creates a memory-only
-	// store.
-	Snapshots *sample.Store
 }
 
 // batchSize caps the configurations per RunBatch call: wide enough to
@@ -147,15 +144,12 @@ func New(opts Options) *Engine {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.Sample && opts.Snapshots == nil {
-		opts.Snapshots = sample.NewStore("")
-	}
 	e := &Engine{opts: opts, drain: make(chan struct{})}
 	if opts.Batch || opts.Sample {
 		e.traces = trace.NewStore("")
 	}
 	if opts.Sample {
-		e.sampler = sample.NewPlanner(e.traces, opts.Snapshots)
+		e.sampler = sample.NewPlanner(e.traces, nil)
 	}
 	e.sampleRun = e.runSampled
 	e.simulate = func(j *Job) ([]core.Result, error) {

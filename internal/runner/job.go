@@ -22,6 +22,7 @@ import (
 
 	"catch/internal/config"
 	"catch/internal/core"
+	"catch/internal/interconnect"
 	"catch/internal/sample"
 	"catch/internal/trace"
 	"catch/internal/workloads"
@@ -79,11 +80,16 @@ func (j Job) Key() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Validate checks that every workload name resolves and that the
-// budgets are sane, without running anything.
+// Validate checks that every workload name resolves, that the job fits
+// its config's ring (one core per workload, one core per ring stop) and
+// that the budgets are sane, without running anything.
 func (j *Job) Validate() error {
 	if len(j.Workloads) == 0 {
 		return fmt.Errorf("job has no workloads")
+	}
+	if stops := interconnect.New(j.Config.RingStops, 0).Stops; len(j.Workloads) > stops {
+		return fmt.Errorf("job has %d workloads, more than the %d ring stops of config %q",
+			len(j.Workloads), stops, j.Config.Name)
 	}
 	if j.Insts <= 0 {
 		return fmt.Errorf("job insts must be positive, got %d", j.Insts)

@@ -233,21 +233,6 @@ func (s *Server) registerServerMetrics(r *telemetry.Registry) {
 		r.CounterFunc("catch_sample_profiles_total{kind=\"coalesced\"}",
 			"Sampling-profile traffic by kind.",
 			pstat(func(st sample.PlannerStats) uint64 { return st.ProfileCoalesced }))
-		sstat := func(f func(sample.StoreStats) uint64) func() float64 {
-			return func() float64 { return float64(f(p.Snapshots().Stats())) }
-		}
-		r.CounterFunc("catch_sample_snapshots_total{kind=\"built\"}",
-			"Warm-snapshot store traffic by kind.",
-			sstat(func(st sample.StoreStats) uint64 { return st.Built }))
-		r.CounterFunc("catch_sample_snapshots_total{kind=\"mem_hit\"}",
-			"Warm-snapshot store traffic by kind.",
-			sstat(func(st sample.StoreStats) uint64 { return st.MemHits }))
-		r.CounterFunc("catch_sample_snapshots_total{kind=\"disk_hit\"}",
-			"Warm-snapshot store traffic by kind.",
-			sstat(func(st sample.StoreStats) uint64 { return st.DiskHits }))
-		r.CounterFunc("catch_sample_snapshots_total{kind=\"bad_disk\"}",
-			"Warm-snapshot store traffic by kind.",
-			sstat(func(st sample.StoreStats) uint64 { return st.BadDisk }))
 	}
 	if inj := s.Engine.FaultInjector(); inj != nil {
 		for _, k := range fault.Kinds() {
@@ -443,7 +428,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		body["sampled"] = s.Engine.Sampled()
 		body["sampleFallbacks"] = s.Engine.SampleFallbacks()
 		body["sampleProfiles"] = p.Stats()
-		body["sampleSnapshots"] = p.Snapshots().Stats()
 	}
 	if s.ClusterInfo != nil {
 		body["cluster"] = s.ClusterInfo()

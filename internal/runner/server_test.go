@@ -163,6 +163,34 @@ func TestRunEndpointRejectsUnknowns(t *testing.T) {
 	}
 }
 
+// TestRunEndpointRejectsMoreWorkloadsThanRingStops: a job needs one
+// core per workload and one ring stop per core, so /v1/run answers a
+// job wider than its config's ring with 400 and a JSON error before
+// anything runs; otherwise a small body could ask for thousands of
+// cores.
+func TestRunEndpointRejectsMoreWorkloadsThanRingStops(t *testing.T) {
+	e := New(Options{Workers: 1, Cache: NewCache("")})
+	ts := newTestServer(e)
+	defer ts.Close()
+	names := make([]string, config.BaselineExclusive().RingStops+1)
+	for i := range names {
+		names[i] = "mcf"
+	}
+	resp, raw := postJSON(t, ts.URL+"/v1/run", RunRequest{
+		Config: "baseline-excl", Workloads: names, Insts: 1, Warmup: -1,
+	})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("%d workloads: status %d (%s), want 400", len(names), resp.StatusCode, raw)
+	}
+	var eb errorBody
+	if err := json.Unmarshal(raw, &eb); err != nil || eb.Error == "" {
+		t.Fatalf("body %s is not a JSON error (%v)", raw, err)
+	}
+	if n := e.Executed(); n != 0 {
+		t.Errorf("executed %d jobs, want 0", n)
+	}
+}
+
 // TestRunCoalescesDuplicateConcurrentRequests is the acceptance check:
 // N concurrent identical requests cause exactly one underlying
 // simulation.
@@ -490,8 +518,9 @@ func TestPprofGatedByFlag(t *testing.T) {
 }
 
 // TestServerSampledCounters: a sampling engine surfaces its planner
-// and snapshot-store counters in /healthz and as /metrics series, and
-// a sweep through the HTTP layer actually resolves by sampling.
+// counters in /healthz and as /metrics series, no warm-snapshot
+// counters remain, and a sweep through the HTTP layer actually
+// resolves by sampling.
 func TestServerSampledCounters(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	e := New(Options{
@@ -524,21 +553,22 @@ func TestServerSampledCounters(t *testing.T) {
 		SampleProfiles  struct {
 			Profiled uint64 `json:"profiled"`
 		} `json:"sampleProfiles"`
-		SampleSnapshots struct {
-			Built uint64 `json:"built"`
-		} `json:"sampleSnapshots"`
 	}
 	if err := json.Unmarshal(raw2, &body); err != nil {
 		t.Fatal(err)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(raw2, &keys); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := keys["sampleSnapshots"]; ok {
+		t.Errorf("healthz still has sampleSnapshots: %s", raw2)
 	}
 	if body.Sampled != 2 || body.SampleFallbacks != 0 {
 		t.Errorf("healthz sampled=%d fallbacks=%d, want 2 and 0: %s", body.Sampled, body.SampleFallbacks, raw2)
 	}
 	if body.SampleProfiles.Profiled != 1 {
 		t.Errorf("healthz sampleProfiles.profiled = %d, want 1 (one workload): %s", body.SampleProfiles.Profiled, raw2)
-	}
-	if body.SampleSnapshots.Built != 2 {
-		t.Errorf("healthz sampleSnapshots.built = %d, want 2 (config x workload): %s", body.SampleSnapshots.Built, raw2)
 	}
 
 	resp3, raw3 := getURL(t, ts.URL+"/metrics")
@@ -549,10 +579,12 @@ func TestServerSampledCounters(t *testing.T) {
 		`catch_engine_jobs_sampled_total 2`,
 		`catch_engine_sample_fallbacks_total 0`,
 		`catch_sample_profiles_total{kind="built"} 1`,
-		`catch_sample_snapshots_total{kind="built"} 2`,
 	} {
 		if !strings.Contains(string(raw3), series) {
 			t.Errorf("metrics lack %q", series)
 		}
+	}
+	if strings.Contains(string(raw3), "catch_sample_snapshots_total") {
+		t.Error("metrics still carry catch_sample_snapshots_total")
 	}
 }

@@ -10,9 +10,10 @@ import (
 )
 
 // TestRestoredStepSteadyStateAllocs guards the sampling hot path: a
-// system restored from a warm snapshot and attached to a trace replay
+// system warmed in place over a trace replay, as Planner.Run warms it,
 // must step gap and measurement instructions without heap allocations,
-// exactly like the RunST kernel it replaces. (The per-window
+// exactly like the RunST kernel it replaces. The core alloc tests drive
+// generators, so this is the replay path's guard. (The per-window
 // EndMeasureDelta bookkeeping may allocate; the instruction stepping in
 // between must not.)
 func TestRestoredStepSteadyStateAllocs(t *testing.T) {
@@ -26,21 +27,12 @@ func TestRestoredStepSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, err := NewStore("").Warm(cfg, &w, m, warmup)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sys := core.NewSystem(cfg)
-	if err := sys.Restore(img); err != nil {
-		t.Fatal(err)
-	}
-	rep := m.NewReplay()
-	rep.SeekTo(warmup)
-	sys.AttachST(rep)
-	// Settle the restored system: replay-side buffers and any
-	// structures the snapshot rebuilt lazily reach steady footprint.
+	sys.WarmupST(m.NewReplay(), warmup)
+	// Settle the warmed system: replay-side buffers reach steady
+	// footprint.
 	sys.StepST(5_000)
 	if allocs := testing.AllocsPerRun(5, func() { sys.StepST(2_000) }); allocs != 0 {
-		t.Errorf("restored steady-state StepST: %v allocs per 2k-inst batch, want 0", allocs)
+		t.Errorf("warmed steady-state StepST: %v allocs per 2k-inst batch, want 0", allocs)
 	}
 }

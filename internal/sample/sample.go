@@ -1,3 +1,10 @@
+// Package sample is the representative-interval sampling subsystem:
+// it profiles a workload's measurement region into fixed-length
+// intervals, clusters the intervals with a small deterministic k-means,
+// simulates only one representative per cluster on a system warmed in
+// place, and extrapolates full-run statistics with per-metric error
+// bars. Sweeps that share a (workload, budgets, interval) tuple share
+// one profile.
 package sample
 
 import (
@@ -61,13 +68,11 @@ type PlannerStats struct {
 }
 
 // Planner runs sampled simulations: profile once per (workload,
-// budgets, interval), cluster deterministically, warm once per
-// (config, workload, warmup) through the snapshot store, then simulate
-// only the representative intervals and extrapolate. Safe for
-// concurrent use by the engine's workers.
+// budgets, interval), cluster deterministically, warm the measuring
+// system in place, then simulate only the representative intervals and
+// extrapolate. Safe for concurrent use by the engine's workers.
 type Planner struct {
 	traces   *trace.Store
-	snaps    *Store
 	profiles memo.Group[profileKey, *Profile]
 
 	profiled         stats.AtomicCounter
@@ -76,16 +81,14 @@ type Planner struct {
 	runs             stats.AtomicCounter
 }
 
-// NewPlanner builds a planner over the given trace and snapshot
-// stores. A nil snaps keeps snapshots in memory only.
-func NewPlanner(traces *trace.Store, snaps *Store) *Planner {
+// NewPlanner builds a planner over the given trace store (nil builds
+// a private one). The second argument is ignored; it is kept only so
+// perfbench builds.
+func NewPlanner(traces *trace.Store, _ *Store) *Planner {
 	if traces == nil {
 		traces = trace.NewStore("")
 	}
-	if snaps == nil {
-		snaps = NewStore("")
-	}
-	return &Planner{traces: traces, snaps: snaps}
+	return &Planner{traces: traces}
 }
 
 // Stats snapshots the counters.
@@ -98,8 +101,9 @@ func (p *Planner) Stats() PlannerStats {
 	}
 }
 
-// Snapshots returns the planner's warm-snapshot store.
-func (p *Planner) Snapshots() *Store { return p.snaps }
+// Snapshots is kept only so perfbench builds: it returns an empty
+// store whose counters read zero.
+func (*Planner) Snapshots() *Store { return &Store{} }
 
 // Run produces a sampled estimate of RunST(cfg, w, insts, warmup):
 // only K representative intervals are simulated in detail; unmeasured
@@ -109,6 +113,9 @@ func (p *Planner) Snapshots() *Store { return p.snaps }
 func (p *Planner) Run(cfg config.SystemConfig, w *trace.Workload, insts, warmup int64, spec Spec) (core.Result, error) {
 	if err := spec.Validate(insts); err != nil {
 		return core.Result{}, err
+	}
+	if warmup < 0 {
+		return core.Result{}, fmt.Errorf("sample: warmup must be non-negative, got %d", warmup)
 	}
 	p.runs.Inc()
 	m, err := p.traces.Materialize(w, warmup+insts)
@@ -121,17 +128,8 @@ func (p *Planner) Run(cfg config.SystemConfig, w *trace.Workload, insts, warmup 
 	}
 	cl := Cluster(prof.Features, spec.K, w.Seed)
 
-	warm, err := p.snaps.Warm(cfg, w, m, warmup)
-	if err != nil {
-		return core.Result{}, err
-	}
 	sys := core.NewSystem(cfg)
-	if err := sys.Restore(warm); err != nil {
-		return core.Result{}, fmt.Errorf("sample: restore warm state: %w", err)
-	}
-	rep := m.NewReplay()
-	rep.SeekTo(warmup)
-	sys.AttachST(rep)
+	sys.WarmupST(m.NewReplay(), warmup)
 	warmBase := sys.CaptureCumulative()
 
 	// Simulate representatives in stream order, stepping (not

@@ -180,7 +180,7 @@ func (r *Reader) Expect(want uint64, what string) {
 }
 
 // Fnv1a returns the 64-bit FNV-1a hash of b — the integrity checksum
-// that trails snapshot images and warm-snapshot files.
+// that trails snapshot images.
 func Fnv1a(b []byte) uint64 {
 	h := uint64(14695981039346656037)
 	for _, c := range b {
