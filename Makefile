@@ -33,14 +33,15 @@ partition-smoke:
 
 # fuzz-smoke runs every native fuzz target for a short -fuzztime
 # beyond its seed corpus (which plain `go test` already replays): the
-# POST /v1/run body, the fault-plan parser, the benchmark-output parser
-# and the POST /v1/sweep body. Go fuzzes one target per invocation,
-# hence one line per target.
+# POST /v1/run body, the fault-plan parser, the benchmark-output
+# parser, the POST /v1/sweep body and the POST /v1/cluster/fill body.
+# Go fuzzes one target per invocation, hence one line per target.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRunRequest$$' -fuzztime 10s ./internal/runner
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 10s ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/perf
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepRequest$$' -fuzztime 10s ./internal/runner
+	$(GO) test -run '^$$' -fuzz '^FuzzFillRequest$$' -fuzztime 10s ./internal/cluster
 
 # sample-smoke proves representative-interval sampling stays honest:
 # the fig13 grid run through a sampling engine must reproduce every
@@ -78,7 +79,9 @@ chaos:
 
 # lint runs the in-repo static-analysis suite (see DESIGN.md,
 # "Static analysis"): determinism, hotpath-noalloc,
-# atomic-consistency, telemetry-discipline and error-hygiene.
+# atomic-consistency, telemetry-discipline, error-hygiene,
+# annotation-hygiene, snapshot-coverage, reset-coverage and
+# key-coverage.
 lint:
 	$(GO) run ./cmd/catchlint
 
@@ -99,8 +102,9 @@ test:
 
 # race runs everything under the race detector; internal/cluster,
 # internal/sample and internal/memo run twice because their
-# interleavings (work stealing, the sampling profile memo's coalescing,
-# coalesced fills) differ run to run.
+# interleavings (replica fan-out and concurrent shard dispatch, the
+# sampling profile memo's coalescing, coalesced fills) differ run to
+# run.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/cluster ./internal/sample ./internal/memo

@@ -38,14 +38,13 @@
 //	catchd -addr :8080 -peers http://a:8080,http://b:8080 -self http://a:8080
 //
 // Sweep jobs shard across the members by consistent hashing on their
-// content-addressed keys, GET /v1/results resolves through a tiered
-// read path (local memory → local disk → the key's replica peers),
-// idle members steal queued jobs from loaded ones (-steal-interval),
-// and GET /v1/cluster/status reports ring membership, tier traffic,
-// per-peer breaker state and the health/replication view. A dead
-// peer's shards reroute along the ring; because jobs are pure
-// functions of their key, an N-node sweep is byte-identical to the
-// single-node run.
+// content-addressed keys, each shard runs on its owner's engine, GET
+// /v1/results resolves through a tiered read path (local memory →
+// local disk → the key's replica peers), and GET /v1/cluster/status
+// reports ring membership, tier traffic, per-peer breaker state and
+// the health/replication view. A dead peer's shards reroute along the
+// ring; because jobs are pure functions of their key, an N-node sweep
+// is byte-identical to the single-node run.
 //
 // -replicas R makes the cluster self-healing: each completed result
 // is pushed to its R ring owners, a seeded prober (-probe-interval)
@@ -108,8 +107,6 @@ type options struct {
 	peers          string
 	self           string
 	vnodes         int
-	stealInterval  time.Duration
-	lentDeadline   time.Duration
 	resultMaxAge   time.Duration
 	replicas       int
 	probeInterval  time.Duration
@@ -203,12 +200,6 @@ func validate(o *options) error {
 	if o.vnodes < 0 {
 		return fmt.Errorf("-vnodes must be >= 0 (0 = default %d; got %d)", cluster.DefaultVNodes, o.vnodes)
 	}
-	if o.stealInterval < 0 {
-		return fmt.Errorf("-steal-interval must be >= 0 (0 = background stealing off; got %v)", o.stealInterval)
-	}
-	if o.lentDeadline < 0 {
-		return fmt.Errorf("-lent-deadline must be >= 0 (0 = default 30s; got %v)", o.lentDeadline)
-	}
 	if o.resultMaxAge < 0 {
 		return fmt.Errorf("-result-max-age must be >= 0 (0 = default; got %v)", o.resultMaxAge)
 	}
@@ -253,12 +244,10 @@ func main() {
 		sampleIv = flag.Int64("sample-interval", 0, "sampling interval length in instructions (0 derives insts/16 per job)")
 		sampleK  = flag.Int("sample-k", 0, "representative intervals to measure per job (0 defaults to 4)")
 
-		peers         = flag.String("peers", "", "comma-separated base URLs of every cluster member, self included (empty = single node)")
-		self          = flag.String("self", "", "this node's own base URL from -peers")
-		vnodes        = flag.Int("vnodes", 0, "virtual nodes per peer on the consistent-hash ring (0 = default)")
-		stealInterval = flag.Duration("steal-interval", 2*time.Second, "pace of the background work-steal loop (0 = off)")
-		lentDeadline  = flag.Duration("lent-deadline", 0, "how long a shard waits for stolen jobs before reclaiming them (0 = 30s)")
-		resultMaxAge  = flag.Duration("result-max-age", 0, "Cache-Control max-age for GET /v1/results (0 = default 1 year; results are immutable)")
+		peers        = flag.String("peers", "", "comma-separated base URLs of every cluster member, self included (empty = single node)")
+		self         = flag.String("self", "", "this node's own base URL from -peers")
+		vnodes       = flag.Int("vnodes", 0, "virtual nodes per peer on the consistent-hash ring (0 = default)")
+		resultMaxAge = flag.Duration("result-max-age", 0, "Cache-Control max-age for GET /v1/results (0 = default 1 year; results are immutable)")
 
 		replicas       = flag.Int("replicas", 0, "cluster members holding each completed result (0 = owner only)")
 		probeInterval  = flag.Duration("probe-interval", time.Second, "pace of the health prober driving live/suspect/down membership (0 = off)")
@@ -272,8 +261,7 @@ func main() {
 		retries: *retries, shedAfter: *shedAfter, reqTimeout: *reqTimeout,
 		backoff: *backoff, brThresh: *brThresh, brCooldown: *brCooldown, inject: *inject,
 		sample: *sampleOn, sampleIv: *sampleIv, sampleK: *sampleK,
-		peers: *peers, self: *self, vnodes: *vnodes,
-		stealInterval: *stealInterval, lentDeadline: *lentDeadline, resultMaxAge: *resultMaxAge,
+		peers: *peers, self: *self, vnodes: *vnodes, resultMaxAge: *resultMaxAge,
 		replicas: *replicas, probeInterval: *probeInterval, repairInterval: *repairInterval,
 		peerTimeout: *peerTimeout,
 	}
@@ -330,15 +318,13 @@ func main() {
 
 	// Cluster mode wraps the single-node handler: sweeps shard across
 	// the ring, results resolve through the tiered read path, and the
-	// background steal loop helps drained peers.
+	// background prober and repair pass keep replicas whole.
 	if len(opts.peerList) > 0 {
 		node, err := cluster.NewNode(cluster.Options{
 			Self:             opts.self,
 			Peers:            opts.peerList,
 			VNodes:           opts.vnodes,
 			Engine:           eng,
-			StealInterval:    opts.stealInterval,
-			LentDeadline:     opts.lentDeadline,
 			BreakerThreshold: opts.brThresh,
 			BreakerCooldown:  opts.brCooldown,
 			Replicas:         opts.replicas,

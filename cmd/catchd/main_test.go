@@ -53,8 +53,6 @@ func TestValidate(t *testing.T) {
 			o.self = "http://a:8080"
 		}, "-peers"},
 		{"negative vnodes", func(o *options) { o.vnodes = -1 }, "-vnodes must be >= 0"},
-		{"negative steal-interval", func(o *options) { o.stealInterval = -time.Second }, "-steal-interval must be >= 0"},
-		{"negative lent-deadline", func(o *options) { o.lentDeadline = -time.Second }, "-lent-deadline must be >= 0"},
 		{"negative result-max-age", func(o *options) { o.resultMaxAge = -time.Second }, "-result-max-age must be >= 0"},
 		{"sample passes", func(o *options) { o.sample = true }, ""},
 		{"sample tuned passes", func(o *options) {

@@ -120,7 +120,7 @@ func TestClusterPeerFaultInjection(t *testing.T) {
 func TestClusterFaultInjectionIsDeterministic(t *testing.T) {
 	plan := fault.Plan{Seed: 7, Rules: map[fault.Kind]fault.Rule{fault.Peer: {Prob: 0.5, Times: 3}}}
 	a, b := fault.NewInjector(plan), fault.NewInjector(plan)
-	sites := []string{"shard:http://a:1", "fetch:http://b:1", "steal:http://c:1", "fill:http://a:1"}
+	sites := []string{"shard:http://a:1", "fetch:http://b:1", "manifest:http://c:1", "fill:http://a:1"}
 	for round := 0; round < 5; round++ {
 		for _, s := range sites {
 			if a.Fire(fault.Peer, s) != b.Fire(fault.Peer, s) {

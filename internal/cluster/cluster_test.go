@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"catch/internal/config"
 	"catch/internal/runner"
@@ -125,12 +124,7 @@ func newTestCluster(t *testing.T, n int, mutate func(i int, o *Options)) *testCl
 func (tc *testCluster) spawn(t *testing.T, i int) {
 	t.Helper()
 	eng := runner.New(runner.Options{Workers: 2, Cache: runner.NewCache("")})
-	o := Options{
-		Self:         tc.urls[i],
-		Peers:        tc.urls,
-		Engine:       eng,
-		LentDeadline: 2 * time.Second,
-	}
+	o := Options{Self: tc.urls[i], Peers: tc.urls, Engine: eng}
 	if tc.mutate != nil {
 		tc.mutate(i, &o)
 	}
@@ -167,21 +161,32 @@ func newLocalServer(t *testing.T, h http.Handler) string {
 // results.
 func (tc *testCluster) sweep(t *testing.T, i int) []runner.JobResult {
 	t.Helper()
-	resp, err := http.Post(tc.urls[i]+"/v1/sweep", "application/json", bytes.NewReader(testSweepBody()))
+	out, err := postSweep(tc.urls[i])
 	if err != nil {
 		t.Fatalf("sweep on node %d: %v", i, err)
 	}
+	return out
+}
+
+// postSweep POSTs the standard test sweep to the node at url. It
+// reports failures as errors, so goroutines off the test's own can
+// call it.
+func postSweep(url string) ([]runner.JobResult, error) {
+	resp, err := http.Post(url+"/v1/sweep", "application/json", bytes.NewReader(testSweepBody()))
+	if err != nil {
+		return nil, err
+	}
 	defer func() { _ = resp.Body.Close() }()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sweep on node %d: %s", i, resp.Status)
+		return nil, fmt.Errorf("status %s", resp.Status)
 	}
 	var doc struct {
 		Jobs []runner.JobResult `json:"jobs"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatalf("sweep decode: %v", err)
+		return nil, fmt.Errorf("decode: %v", err)
 	}
-	return doc.Jobs
+	return doc.Jobs, nil
 }
 
 // singleNodeFlatten computes the reference output: the same grid on a
@@ -239,6 +244,45 @@ func TestClusterSmoke(t *testing.T) {
 	}
 	if executedTotal(tc) != before {
 		t.Fatal("repeat sweep recomputed jobs instead of hitting the caches")
+	}
+}
+
+// TestClusterConcurrentSweeps runs two coordinators' sweeps of the same
+// grid at once, so shards of both overlap on every owner. Both outputs
+// must match the single-node run byte for byte, and each key must
+// execute exactly once cluster-wide: the owner's cache coalesces the
+// two shards that want it.
+func TestClusterConcurrentSweeps(t *testing.T) {
+	ref := singleNodeFlatten(t)
+	tc := newTestCluster(t, 3, nil)
+
+	coords := []int{0, 1}
+	outs := make([][]runner.JobResult, len(coords))
+	errs := make([]error, len(coords))
+	var wg sync.WaitGroup
+	for k, i := range coords {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[k], errs[k] = postSweep(tc.urls[i])
+		}()
+	}
+	wg.Wait()
+	for k, i := range coords {
+		if errs[k] != nil {
+			t.Fatalf("sweep on node %d: %v", i, errs[k])
+		}
+		if got := mustFlatten(t, outs[k]); !bytes.Equal(got, ref) {
+			t.Fatalf("concurrent sweep from node %d diverged from the single-node run", i)
+		}
+	}
+	g := testGrid()
+	keys := make(map[string]bool)
+	for _, j := range g.Jobs() {
+		keys[j.Key()] = true
+	}
+	if got := executedTotal(tc); got != uint64(len(keys)) {
+		t.Fatalf("cluster executed %d jobs for %d distinct keys; overlapping shards must coalesce", got, len(keys))
 	}
 }
 
@@ -341,43 +385,5 @@ func TestClusterPeerFetch(t *testing.T) {
 	defer func() { _ = hr.Body.Close() }()
 	if hr.StatusCode != http.StatusOK {
 		t.Fatalf("healthz through the cluster handler: %s", hr.Status)
-	}
-}
-
-// TestClusterStealOnce pins the work-stealing protocol over real HTTP:
-// a drained node steals from the most loaded peer, computes, and fills
-// the results back.
-func TestClusterStealOnce(t *testing.T) {
-	tc := newTestCluster(t, 2, nil)
-	victim, thief := tc.nodes[0], tc.nodes[1]
-
-	g := testGrid()
-	jobs := g.Jobs()[:3]
-	items, ok := victim.queue.begin(jobs)
-	if !ok {
-		t.Fatal("queue.begin failed")
-	}
-	defer victim.queue.end()
-
-	n, err := thief.StealOnce(context.Background())
-	if err != nil {
-		t.Fatalf("StealOnce: %v", err)
-	}
-	if n == 0 {
-		t.Fatal("StealOnce computed nothing with a loaded peer available")
-	}
-	// Every stolen job was filled back: nothing is lent anymore, and the
-	// results are retrievable exactly where the shard assembler looks.
-	if victim.queue.lentCount() != 0 {
-		t.Fatalf("%d jobs still lent after fill", victim.queue.lentCount())
-	}
-	filled := 0
-	for _, it := range items {
-		if rs, ok := victim.queue.takeFilled(it.key); ok && len(rs) > 0 {
-			filled++
-		}
-	}
-	if filled != n {
-		t.Fatalf("filled %d results for %d stolen jobs", filled, n)
 	}
 }

@@ -14,7 +14,7 @@ type MemberState int32
 
 const (
 	// MemberLive: the peer answers probes. It receives shards, replica
-	// fills and steal traffic.
+	// fills and reconcile diffs.
 	MemberLive MemberState = 0
 	// MemberSuspect: the peer has missed probes but not enough to
 	// condemn it. It is still routable — a suspect peer is usually a
@@ -61,9 +61,8 @@ func (t Transition) String() string {
 
 // Health is the node's shared membership view, driven by the active
 // prober and consumed by the sweep coordinator (initial down-set), the
-// peer cache tier (replica walk), the steal loop (victim selection),
-// the replicator (fill-or-skip decision) and the reconcile routine
-// (which peers to diff).
+// peer cache tier (replica walk), the replicator (fill-or-skip
+// decision) and the reconcile routine (which peers to diff).
 //
 // State transitions are counted in consecutive probe outcomes, never
 // in wall-clock time — the same idiom as the circuit breaker's

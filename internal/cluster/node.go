@@ -24,11 +24,8 @@ type Options struct {
 	// Engine executes local jobs (compute tier) and owns the local
 	// cache whose memory and disk layers become the top two tiers.
 	Engine *runner.Engine
-	// StealInterval paces the background steal loop started by Start;
-	// <=0 disables background stealing (StealOnce still works).
-	StealInterval time.Duration
-	// LentDeadline bounds how long a shard waits for stolen jobs to be
-	// filled before reclaiming them for local compute (<=0: 30s).
+	// LentDeadline is ignored. It stays only so the benchmark module,
+	// which still sets it, compiles.
 	LentDeadline time.Duration
 	// BreakerThreshold/BreakerCooldown parameterize the per-tier
 	// breakers (non-positive: fault.NewBreaker defaults).
@@ -61,23 +58,18 @@ type Options struct {
 }
 
 // Node is one cluster member: the ring, the tiered read path over the
-// local cache and the owner peer, the steal queue, and the shard
-// executor. It is constructed once per process and shared by the HTTP
-// layer.
+// local cache and the replica peers, the failure detector, and the
+// shard executor. It is constructed once per process and shared by the
+// HTTP layer.
 type Node struct {
 	opts   Options
 	ring   *Ring
 	client *Client
 	tiers  *Tiered
-	queue  *stealQueue
 	health *Health
 
-	mSteals       *telemetry.Counter
-	mStolenJobs   *telemetry.Counter
-	mFills        *telemetry.Counter
 	mShardsIn     *telemetry.Counter
 	mRerouted     *telemetry.Counter
-	mPeerCompute  *telemetry.Counter
 	mProbes       *telemetry.Counter
 	mProbeFails   *telemetry.Counter
 	mReplicaFills *telemetry.Counter
@@ -85,10 +77,6 @@ type Node struct {
 	mHintsDrained *telemetry.Counter
 	mRepairFills  *telemetry.Counter
 }
-
-// stealBatch bounds the jobs taken per steal when the thief names no
-// (or an out-of-range) count.
-const stealBatch = 4
 
 // NewNode builds a node. The engine must have a cache: the cluster's
 // whole point is a shared content-addressed result space.
@@ -110,9 +98,6 @@ func NewNode(o Options) (*Node, error) {
 	if !found {
 		return nil, fmt.Errorf("cluster: self %q is not in the peer list %v", o.Self, ring.Members())
 	}
-	if o.LentDeadline <= 0 {
-		o.LentDeadline = 30 * time.Second
-	}
 	if o.Replicas <= 0 {
 		o.Replicas = 1
 	}
@@ -120,9 +105,8 @@ func NewNode(o Options) (*Node, error) {
 		o.Replicas = members
 	}
 	n := &Node{
-		opts:  o,
-		ring:  ring,
-		queue: newStealQueue(),
+		opts: o,
+		ring: ring,
 		client: NewClient(ClientOptions{
 			Fault:            o.Fault,
 			Timeouts:         o.Timeouts,
@@ -149,20 +133,14 @@ func NewNode(o Options) (*Node, error) {
 		&peerTier{node: n},
 	}, newBreaker, o.Metrics)
 	if r := o.Metrics; r != nil {
-		n.mSteals = r.Counter("catch_cluster_steals_total", "Successful steal calls against peers.")
-		n.mStolenJobs = r.Counter("catch_cluster_stolen_jobs_total", "Jobs this node stole and computed for peers.")
-		n.mFills = r.Counter("catch_cluster_fills_total", "Stolen-job results returned to this node.")
 		n.mShardsIn = r.Counter("catch_cluster_shards_total", "Shard requests served for sweep coordinators.")
 		n.mRerouted = r.Counter("catch_cluster_reroutes_total", "Shards rerouted after a peer failure (ring exclusion).")
-		n.mPeerCompute = r.Counter("catch_cluster_lent_reclaimed_total", "Lent jobs reclaimed and recomputed locally.")
 		n.mProbes = r.Counter("catch_cluster_probes_total", "Health probes sent to peers.")
 		n.mProbeFails = r.Counter("catch_cluster_probe_failures_total", "Health probes that failed.")
 		n.mReplicaFills = r.Counter("catch_cluster_replica_fills_total", "Replica copies pushed to peers.")
 		n.mReplicasIn = r.Counter("catch_cluster_replicas_in_total", "Replica copies accepted from peers.")
 		n.mHintsDrained = r.Counter("catch_cluster_hints_drained_total", "Replica copies pushed to a peer on its return to live.")
 		n.mRepairFills = r.Counter("catch_cluster_repair_fills_total", "Replica copies pushed by anti-entropy repair.")
-		r.GaugeFunc("catch_cluster_queue_len", "Pending jobs in the steal queue.",
-			func() float64 { return float64(n.queue.queueLen()) })
 		r.GaugeFunc("catch_cluster_peers", "Static cluster size.",
 			func() float64 { return float64(len(ring.Members())) })
 		r.GaugeFunc("catch_cluster_unreplicated_keys", "Cached result keys whose replica set includes a suspect or down peer.",
@@ -173,9 +151,8 @@ func NewNode(o Options) (*Node, error) {
 	// Counters that feed /v1/cluster/status must count even without a
 	// metrics registry; standalone handles cost one atomic each.
 	for _, c := range []**telemetry.Counter{
-		&n.mSteals, &n.mStolenJobs, &n.mFills, &n.mShardsIn, &n.mRerouted, &n.mPeerCompute,
-		&n.mProbes, &n.mProbeFails, &n.mReplicaFills, &n.mReplicasIn,
-		&n.mHintsDrained, &n.mRepairFills,
+		&n.mShardsIn, &n.mRerouted, &n.mProbes, &n.mProbeFails,
+		&n.mReplicaFills, &n.mReplicasIn, &n.mHintsDrained, &n.mRepairFills,
 	} {
 		if *c == nil {
 			*c = &telemetry.Counter{}
@@ -266,16 +243,17 @@ func (n *Node) Lookup(ctx context.Context, key string, localOnly bool) ([]core.R
 	return n.tiers.Get(ctx, key, localOnly)
 }
 
-// ExecuteShard runs one shard of a sweep on this node: jobs feed the
-// steal queue, local workers pop from the head, and peers may steal
-// from the tail. Completed jobs land in the engine's cache; the
-// returned results are in job order, so a coordinator can splice
-// shards back together deterministically.
+// ExecuteShard runs one shard of a sweep through the engine's worker
+// pool, which lands each completed job in the engine's cache, and fans
+// every OK result out to its replica set. The results are in job
+// order, so a coordinator can splice shards back together
+// deterministically. Overlapping shards share the engine's cache, which
+// runs a key wanted by both only once.
 func (n *Node) ExecuteShard(ctx context.Context, jobs []runner.Job) []runner.JobResult {
-	out := n.executeShard(ctx, jobs)
-	// Fan completed results out to their replica sets. Replication is
-	// idempotent (content-addressed keys), so re-pushing a cache hit
-	// costs one small call and repairs any gap a past failure left.
+	out := n.opts.Engine.Run(ctx, jobs)
+	// Replication is idempotent (content-addressed keys), so re-pushing
+	// a cache hit costs one small call and repairs any gap a past
+	// failure left.
 	if n.opts.Replicas > 1 {
 		for i := range out {
 			if out[i].Status == runner.StatusOK {
@@ -306,175 +284,22 @@ func (n *Node) replicate(ctx context.Context, key string, rs []core.Result) {
 	}
 }
 
-// executeShard is ExecuteShard minus replication.
-func (n *Node) executeShard(ctx context.Context, jobs []runner.Job) []runner.JobResult {
-	items, armed := n.queue.begin(jobs)
-	if !armed {
-		// Another shard is active: run engine-only. Correct, just not
-		// stealable.
-		return n.opts.Engine.Run(ctx, jobs)
-	}
-	defer n.queue.end()
-
-	out := make([]runner.JobResult, len(jobs))
-	workers := n.opts.Engine.Workers()
-	if workers > len(items) {
-		workers = len(items)
-	}
-	done := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for {
-				it, ok := n.queue.pop()
-				if !ok {
-					return
-				}
-				out[it.idx] = n.opts.Engine.Run(ctx, []runner.Job{it.job})[0]
-			}
-		}()
-	}
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-
-	// The local queue is dry. Wait for outstanding stolen jobs; then
-	// reclaim and recompute whatever a stealer never returned.
-	if n.queue.lentCount() > 0 {
-		reclaimed := n.queue.awaitLent(ctx, n.opts.LentDeadline)
-		for _, it := range reclaimed {
-			n.mPeerCompute.Inc()
-			out[it.idx] = n.opts.Engine.Run(ctx, []runner.Job{it.job})[0]
-		}
-	}
-	// Splice in the filled (stolen) results.
-	for _, it := range items {
-		if out[it.idx].Key != "" {
-			continue
-		}
-		if rs, ok := n.queue.takeFilled(it.key); ok {
-			// A stolen job's result lands where a local compute would
-			// have put it.
-			n.opts.Engine.Cache().Put(it.key, rs)
-			out[it.idx] = runner.JobResult{
-				Job: it.job, Key: it.key, Results: rs, Status: runner.StatusOK, Cached: true,
-			}
-			continue
-		}
-		// Neither computed nor filled: the context ended first.
-		reason := ctx.Err()
-		if reason == nil {
-			reason = fmt.Errorf("job was never scheduled")
-		}
-		out[it.idx] = runner.JobResult{Job: it.job, Key: it.key, Err: reason.Error(), Status: runner.StatusCanceled}
-	}
-	return out
-}
-
-// HandleSteal serves a peer's steal request from the local queue.
-func (n *Node) HandleSteal(max int) []runner.Job {
-	if max <= 0 || max > 64 {
-		max = stealBatch
-	}
-	return n.queue.steal(max)
-}
-
-// HandleFill accepts results pushed by a peer. An authoritative fill
-// (a stolen job coming home) completes the outstanding queue entry —
-// or, when none is outstanding, lands in the cache and fans out to the
-// key's replica set, since this node is where the result now lives. A
-// replica fill stores and stops: it is already the fan-out, and a
-// receiver that re-fanned would loop copies around the ring forever.
-func (n *Node) HandleFill(ctx context.Context, key string, rs []core.Result, replica bool) error {
+// HandleFill stores a replica copy a peer pushed. It never fans the
+// copy out again: every fill is already part of some node's fan-out,
+// and a receiver that re-fanned would loop copies around the ring.
+func (n *Node) HandleFill(key string, rs []core.Result) error {
 	if !runner.ValidKey(key) || len(rs) == 0 {
 		return fmt.Errorf("cluster: fill needs a valid key and non-empty results")
 	}
-	n.mFills.Inc()
-	if replica {
-		n.mReplicasIn.Inc()
-		n.opts.Engine.Cache().Put(key, rs)
-		return nil
-	}
-	if !n.queue.fill(key, rs) {
-		// Not outstanding (reclaimed, or a very late stealer): the
-		// results are still valid and content-addressed, keep them.
-		n.opts.Engine.Cache().Put(key, rs)
-		if n.opts.Replicas > 1 {
-			n.replicate(ctx, key, rs)
-		}
-	}
+	n.mReplicasIn.Inc()
+	n.opts.Engine.Cache().Put(key, rs)
 	return nil
 }
 
-// StealOnce polls the peers' queue lengths and steals one batch from
-// the most loaded, computing each job and filling the result back to
-// its owner. It returns the number of jobs computed (0 when no peer
-// had pending work).
-func (n *Node) StealOnce(ctx context.Context) (int, error) {
-	victim, qlen := "", 0
-	for _, peer := range n.ring.Members() {
-		if peer == n.opts.Self {
-			continue
-		}
-		if n.health.State(peer) != MemberLive {
-			continue // no point polling a peer the detector condemned
-		}
-		st, err := n.client.Status(ctx, peer)
-		if err != nil {
-			continue // unreachable peers are simply not victims
-		}
-		if st.QueueLen > qlen {
-			victim, qlen = peer, st.QueueLen
-		}
-	}
-	if victim == "" {
-		return 0, nil
-	}
-	jobs, err := n.client.Steal(ctx, victim, stealBatch)
-	if err != nil || len(jobs) == 0 {
-		return 0, err
-	}
-	n.mSteals.Inc()
-	computed := 0
-	for i := range jobs {
-		rs := n.opts.Engine.Run(ctx, jobs[i:i+1])
-		if rs[0].Err != "" {
-			// The victim reclaims it after the lent deadline; nothing
-			// else to do here.
-			continue
-		}
-		n.mStolenJobs.Inc()
-		computed++
-		if err := n.client.Fill(ctx, victim, rs[0].Key, rs[0].Results); err != nil {
-			n.logf("cluster: fill %s to %s failed: %v", shortKey(rs[0].Key), victim, err)
-		}
-	}
-	return computed, nil
-}
-
-// Start launches the background loops — steal, health probing and
+// Start launches the background loops — health probing and
 // anti-entropy repair — for whichever intervals are set. It returns
 // immediately; every loop ends with ctx.
 func (n *Node) Start(ctx context.Context) {
-	if n.opts.StealInterval > 0 {
-		go func() {
-			t := time.NewTicker(n.opts.StealInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-t.C:
-					if n.queue.queueLen() > 0 {
-						continue // busy locally; don't steal
-					}
-					if _, err := n.StealOnce(ctx); err != nil {
-						n.logf("cluster: steal: %v", err)
-					}
-				}
-			}
-		}()
-	}
 	if n.opts.ProbeInterval > 0 {
 		go n.paceLoop(ctx, "probe", n.opts.ProbeInterval, func() {
 			n.ProbeOnce(ctx)

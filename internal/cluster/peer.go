@@ -24,16 +24,13 @@ import (
 const localOnlyHeader = "X-Catch-Cluster-Local"
 
 // OpTimeouts bounds each peer-call kind with its own deadline. The
-// control-plane calls (fetch, status, steal, fill, manifest) are
-// small JSON exchanges that deserve tight deadlines; a shard dispatch
-// runs whole simulations on the peer and must never be cut by a
-// client-side default — only the sweep's own context bounds it. A
-// zero field means "no client-imposed deadline beyond the caller's
-// context".
+// control-plane calls (fetch, fill, manifest) are small JSON exchanges
+// that deserve tight deadlines; a shard dispatch runs whole
+// simulations on the peer and must never be cut by a client-side
+// default — only the sweep's own context bounds it. A zero field means
+// "no client-imposed deadline beyond the caller's context".
 type OpTimeouts struct {
 	Fetch    time.Duration
-	Status   time.Duration
-	Steal    time.Duration
 	Fill     time.Duration
 	Manifest time.Duration
 	Probe    time.Duration
@@ -47,8 +44,6 @@ type OpTimeouts struct {
 func DefaultOpTimeouts() OpTimeouts {
 	return OpTimeouts{
 		Fetch:    10 * time.Second,
-		Status:   10 * time.Second,
-		Steal:    10 * time.Second,
 		Fill:     10 * time.Second,
 		Manifest: 10 * time.Second,
 		Probe:    2 * time.Second,
@@ -63,7 +58,7 @@ func (t OpTimeouts) WithDefault(d time.Duration) OpTimeouts {
 	if d <= 0 {
 		return t
 	}
-	t.Fetch, t.Status, t.Steal, t.Fill, t.Manifest = d, d, d, d, d
+	t.Fetch, t.Fill, t.Manifest = d, d, d
 	if probe := DefaultOpTimeouts().Probe; d > probe {
 		t.Probe = probe
 	} else {
@@ -77,10 +72,6 @@ func (t OpTimeouts) forOp(op string) time.Duration {
 	switch op {
 	case "fetch":
 		return t.Fetch
-	case "status":
-		return t.Status
-	case "steal":
-		return t.Steal
 	case "fill":
 		return t.Fill
 	case "manifest":
@@ -118,10 +109,6 @@ type Client struct {
 
 // ClientOptions configures a peer client.
 type ClientOptions struct {
-	// HTTPClient is the transport; nil means a default client with no
-	// overall timeout — deadlines are per-op via Timeouts, so a long
-	// shard dispatch is never cut by a transport-wide budget.
-	HTTPClient *http.Client
 	// Timeouts bounds each call kind; zero fields take
 	// DefaultOpTimeouts (control-plane 10s, probe 2s, shard unbounded).
 	Timeouts OpTimeouts
@@ -136,22 +123,14 @@ type ClientOptions struct {
 	Metrics *telemetry.Registry
 }
 
-// NewClient builds a peer client.
+// NewClient builds a peer client. Its transport has no overall
+// timeout: deadlines are per-op via Timeouts, so a long shard dispatch
+// is never cut by a transport-wide budget.
 func NewClient(o ClientOptions) *Client {
-	hc := o.HTTPClient
-	if hc == nil {
-		hc = &http.Client{}
-	}
 	def := DefaultOpTimeouts()
 	t := o.Timeouts
 	if t.Fetch == 0 {
 		t.Fetch = def.Fetch
-	}
-	if t.Status == 0 {
-		t.Status = def.Status
-	}
-	if t.Steal == 0 {
-		t.Steal = def.Steal
 	}
 	if t.Fill == 0 {
 		t.Fill = def.Fill
@@ -163,7 +142,7 @@ func NewClient(o ClientOptions) *Client {
 		t.Probe = def.Probe
 	}
 	c := &Client{
-		http:     hc,
+		http:     &http.Client{},
 		inj:      o.Fault,
 		thresh:   o.BreakerThreshold,
 		cooldown: o.BreakerCooldown,
@@ -172,7 +151,7 @@ func NewClient(o ClientOptions) *Client {
 	}
 	if r := o.Metrics; r != nil {
 		c.mFetchSeconds = r.Histogram("catch_cluster_peer_fetch_seconds",
-			"Wall-clock latency of one peer call (result fetch, shard, steal, fill, probe).",
+			"Wall-clock latency of one peer call (result fetch, shard, fill, manifest, probe).",
 			0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10)
 		c.mCalls = r.Counter("catch_cluster_peer_calls_total", "Peer calls attempted.")
 		c.mErrs = r.Counter("catch_cluster_peer_errors_total", "Peer calls that failed (breaker fodder).")
@@ -400,19 +379,6 @@ func (c *Client) FetchResult(ctx context.Context, peer, key string) ([]core.Resu
 	return doc.Results, true, nil
 }
 
-// Status fetches a peer's cluster status.
-func (c *Client) Status(ctx context.Context, peer string) (StatusDoc, error) {
-	var doc StatusDoc
-	found, err := c.getJSON(ctx, peer, "status", peer, peer+"/v1/cluster/status", true, &doc)
-	if err != nil {
-		return StatusDoc{}, err
-	}
-	if !found {
-		return StatusDoc{}, fmt.Errorf("peer %s: no cluster status", peer)
-	}
-	return doc, nil
-}
-
 // Probe pings a peer for the failure detector. It bypasses the peer's
 // breaker — the prober IS the thing that decides up/down, and an open
 // breaker must not be able to mask a recovered peer — and treats a
@@ -465,28 +431,10 @@ func shardSite(jobs []runner.Job) string {
 	return jobs[0].Key()
 }
 
-// Steal asks peer to hand over up to max pending jobs from its queue.
-func (c *Client) Steal(ctx context.Context, peer string, max int) ([]runner.Job, error) {
-	var resp stealResponse
-	if err := c.postJSON(ctx, peer, "steal", peer, peer+"/v1/cluster/steal",
-		stealRequest{Max: max}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Jobs, nil
-}
-
-// Fill returns a stolen job's results to its owner. The owner treats
-// it as an authoritative completion: it lands in the owner's cache and
-// fans out to the key's replica set.
-func (c *Client) Fill(ctx context.Context, peer, key string, rs []core.Result) error {
-	return c.postJSON(ctx, peer, "fill", key, peer+"/v1/cluster/fill",
-		fillRequest{Key: key, Results: rs}, nil)
-}
-
 // ReplicaFill pushes a replica copy of a completed result to one
 // member of its replica set. The receiver stores it and nothing more —
-// replica fills never fan out again, so replication cannot loop.
+// fills never fan out again, so replication cannot loop.
 func (c *Client) ReplicaFill(ctx context.Context, peer, key string, rs []core.Result) error {
 	return c.postJSON(ctx, peer, "fill", key, peer+"/v1/cluster/fill",
-		fillRequest{Key: key, Results: rs, Replica: true}, nil)
+		fillRequest{Key: key, Results: rs}, nil)
 }

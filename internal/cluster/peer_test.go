@@ -34,7 +34,7 @@ func TestPeerShedClassification(t *testing.T) {
 	ctx := context.Background()
 
 	for i := 0; i < 10; i++ {
-		_, err := c.Status(ctx, shedding)
+		_, err := c.Manifest(ctx, shedding)
 		if err == nil {
 			t.Fatal("shed response did not fail the call")
 		}
@@ -50,7 +50,7 @@ func TestPeerShedClassification(t *testing.T) {
 	}
 
 	for i := 0; i < 3; i++ {
-		if _, err := c.Status(ctx, dead); err == nil || IsShed(err) {
+		if _, err := c.Manifest(ctx, dead); err == nil || IsShed(err) {
 			t.Fatalf("bare 503 classified as shed (err %v)", err)
 		}
 	}
@@ -94,9 +94,9 @@ func TestOpTimeoutsDefaults(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			got := OpTimeouts{}.WithDefault(tt.d)
-			if got.Fetch != tt.wantFetch || got.Status != tt.wantFetch || got.Manifest != tt.wantFetch {
+			if got.Fetch != tt.wantFetch || got.Fill != tt.wantFetch || got.Manifest != tt.wantFetch {
 				t.Fatalf("WithDefault(%v) control plane = %v/%v/%v, want %v",
-					tt.d, got.Fetch, got.Status, got.Manifest, tt.wantFetch)
+					tt.d, got.Fetch, got.Fill, got.Manifest, tt.wantFetch)
 			}
 			if got.Probe != tt.wantProbe {
 				t.Fatalf("WithDefault(%v) probe = %v, want %v", tt.d, got.Probe, tt.wantProbe)
@@ -114,7 +114,7 @@ func TestOpTimeoutsDefaults(t *testing.T) {
 	}
 	// ...and honors explicit ones.
 	c = NewClient(ClientOptions{Timeouts: OpTimeouts{Fetch: time.Second}})
-	if c.timeouts.Fetch != time.Second || c.timeouts.Status != def.Status {
+	if c.timeouts.Fetch != time.Second || c.timeouts.Fill != def.Fill {
 		t.Fatalf("NewClient mixed timeouts = %+v", c.timeouts)
 	}
 }

@@ -1,8 +1,8 @@
 // Package cluster turns catchd into a peer cluster: a consistent-hash
 // ring routes content-addressed job keys to owner shards, a tiered
 // cache read path (local memory → local disk → owner peer → compute)
-// absorbs reads, sweeps shard across peers with work-stealing for
-// stragglers, and the results API carries full HTTP cache semantics
+// absorbs reads, sweeps shard across peers, each shard running on its
+// owner's engine, and the results API carries full HTTP cache semantics
 // (strong ETags, Cache-Control, conditional revalidation) so standard
 // CDNs and proxies can front the cluster.
 //

@@ -15,11 +15,10 @@ import (
 // versions; everything else falls through to the single-node runner
 // handler:
 //
-//	GET  /v1/cluster/status   ring membership, tiers, queue, peers
+//	GET  /v1/cluster/status   ring membership, tiers, peers, health
 //	GET  /v1/cluster/manifest cached result keys, for reconcile
 //	POST /v1/cluster/shard    execute one sweep shard (cluster-internal)
-//	POST /v1/cluster/steal    hand over pending queue tail (internal)
-//	POST /v1/cluster/fill     return a stolen job's results (internal)
+//	POST /v1/cluster/fill     store a replica copy (cluster-internal)
 //	POST /v1/sweep            sweep sharded across the ring
 //	GET  /v1/results/{key}    tiered lookup + RFC-9111 cache semantics
 type Server struct {
@@ -37,17 +36,13 @@ type Server struct {
 
 // StatusDoc is the /v1/cluster/status response.
 type StatusDoc struct {
-	Self      string      `json:"self"`
-	Members   []string    `json:"members"`
-	VNodes    int         `json:"vnodes"`
-	Replicas  int         `json:"replicas"` // effective replication factor
-	Version   string      `json:"version,omitempty"`
-	QueueLen  int         `json:"queueLen"`
-	Lent      int         `json:"lent"`
-	Stolen    int         `json:"stolen"`    // jobs peers stole from this node
-	Reclaimed int         `json:"reclaimed"` // lent jobs reclaimed locally
-	Tiers     []TierStats `json:"tiers"`
-	Peers     []PeerState `json:"peers"`
+	Self     string      `json:"self"`
+	Members  []string    `json:"members"`
+	VNodes   int         `json:"vnodes"`
+	Replicas int         `json:"replicas"` // effective replication factor
+	Version  string      `json:"version,omitempty"`
+	Tiers    []TierStats `json:"tiers"`
+	Peers    []PeerState `json:"peers"`
 	// Health is this node's failure-detector view of every peer.
 	Health []MemberHealthDoc `json:"health,omitempty"`
 	// Unreplicated is the number of locally cached keys whose replica
@@ -82,24 +77,11 @@ type shardResponse struct {
 	Jobs []runner.JobResult `json:"jobs"`
 }
 
-// stealRequest asks for up to Max pending jobs from the queue tail.
-type stealRequest struct {
-	Max int `json:"max"`
-}
-
-// stealResponse hands over the stolen jobs.
-type stealResponse struct {
-	Jobs []runner.Job `json:"jobs"`
-}
-
-// fillRequest returns a stolen job's results to its owner (Replica
-// false) or pushes a replica copy to a member of the key's replica set
-// (Replica true). The flag is what keeps replication loop-free: only
-// authoritative fills fan out again.
+// fillRequest pushes a replica copy of a completed result to a member
+// of the key's replica set, which stores it and forwards nothing.
 type fillRequest struct {
 	Key     string        `json:"key"`
 	Results []core.Result `json:"results"`
-	Replica bool          `json:"replica,omitempty"`
 }
 
 // pingDoc answers the failure detector's probe.
@@ -126,7 +108,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/cluster/ping", s.handlePing)
 	mux.HandleFunc("GET /v1/cluster/manifest", s.handleManifest)
 	mux.HandleFunc("POST /v1/cluster/shard", s.handleShard)
-	mux.HandleFunc("POST /v1/cluster/steal", s.handleSteal)
 	mux.HandleFunc("POST /v1/cluster/fill", s.handleFill)
 	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
 	mux.HandleFunc("GET /v1/results/{key}", s.handleResult)
@@ -138,17 +119,12 @@ func (s *Server) Handler() http.Handler {
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	n := s.Node
-	stolen, reclaimed := n.queue.counters()
 	writeJSON(w, http.StatusOK, StatusDoc{
 		Self:          n.Self(),
 		Members:       n.Ring().Members(),
 		VNodes:        n.Ring().VNodes(),
 		Replicas:      n.Replicas(),
 		Version:       s.Version,
-		QueueLen:      n.queue.queueLen(),
-		Lent:          n.queue.lentCount(),
-		Stolen:        stolen,
-		Reclaimed:     reclaimed,
 		Tiers:         n.Tiers().Stats(),
 		Peers:         n.peerStates(),
 		Health:        n.health.snapshot(),
@@ -197,8 +173,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	runner.ServeResult(w, r, key, map[string]any{"key": key, "results": rs}, s.ResultMaxAge)
 }
 
-// handleShard executes one sweep shard locally (jobs feed the steal
-// queue, so other peers can help with the tail).
+// handleShard executes one sweep shard on the local engine.
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	var req shardRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -220,22 +195,13 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, shardResponse{Jobs: out})
 }
 
-func (s *Server) handleSteal(w http.ResponseWriter, r *http.Request) {
-	var req stealRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{"bad request body: " + err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, stealResponse{Jobs: s.Node.HandleSteal(req.Max)})
-}
-
 func (s *Server) handleFill(w http.ResponseWriter, r *http.Request) {
 	var req fillRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{"bad request body: " + err.Error()})
 		return
 	}
-	if err := s.Node.HandleFill(r.Context(), req.Key, req.Results, req.Replica); err != nil {
+	if err := s.Node.HandleFill(req.Key, req.Results); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{err.Error()})
 		return
 	}

@@ -16,10 +16,6 @@ type Backoff struct {
 	Base time.Duration
 	// Max caps one delay; <=0 means 32×Base.
 	Max time.Duration
-	// Budget caps the cumulative sleep across one job's retries; the
-	// engine stops retrying once the next delay would exceed it.
-	// <=0 means unlimited.
-	Budget time.Duration
 	// Seed drives the jitter hash.
 	Seed uint64
 }

@@ -46,9 +46,9 @@ const (
 	// Exec fails a job execution attempt with a transient error.
 	Exec
 	// Peer makes a cluster peer call (result fetch, shard dispatch,
-	// steal, fill) fail with a transient error, so the chaos suite can
-	// prove the ring reroutes and the tiered read path degrades to
-	// local compute.
+	// replica fill, manifest) fail with a transient error, so the
+	// chaos suite can prove the ring reroutes and the tiered read path
+	// degrades to local compute.
 	Peer
 
 	nKinds

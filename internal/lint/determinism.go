@@ -27,15 +27,14 @@ type DeterminismConfig struct {
 // backoff jitter replay identically from a seed, which a stray
 // time.Now or global rand call would silently break.
 // internal/cluster is in scope for the same reason: shard assembly,
-// ring ownership and steal reclaim all must replay identically, and
-// the few wall-clock reads it legitimately needs (peer-call latency
-// observation) carry explicit catchlint:ignore audits.
+// ring ownership, replica placement and the seeded probe and repair
+// pacing all must replay identically, and the few wall-clock reads it
+// legitimately needs (peer-call latency observation) carry explicit
+// catchlint:ignore audits.
 // internal/sample is in scope because its whole output is a Result:
 // interval profiling, feature extraction, the seeded k-means
 // clustering and the stratified extrapolation must all be
-// bit-reproducible for a given (config, workload, spec) key, and the
-// snapshot images it stores are content-addressed by that same
-// determinism.
+// bit-reproducible for a given (config, workload, spec) key.
 func DefaultDeterminismConfig() DeterminismConfig {
 	return DeterminismConfig{
 		Packages: []string{

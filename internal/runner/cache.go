@@ -164,7 +164,7 @@ func (c *Cache) GetDisk(key string) ([]core.Result, bool) {
 }
 
 // Put inserts an externally computed result (a peer fetch or a
-// work-steal fill) into both layers, exactly as a local compute would
+// replica fill) into both layers, exactly as a local compute would
 // have. Empty result sets are rejected: an entry with no results is
 // indistinguishable from the quarantine race Get guards against.
 func (c *Cache) Put(key string, rs []core.Result) {

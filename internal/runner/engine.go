@@ -348,18 +348,12 @@ func (e *Engine) attempts(ctx context.Context, j *Job, site string, jr *JobResul
 		return nil, err // structural errors do not retry
 	}
 	var last error
-	var slept time.Duration
 	for try := 0; try <= e.opts.Retries; try++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		if try > 0 {
-			d := e.opts.Backoff.Delay(site, try)
-			if budget := e.opts.Backoff.Budget; budget > 0 && slept+d > budget {
-				return nil, fmt.Errorf("retry budget %v exhausted: %w", budget, last)
-			}
-			if d > 0 {
-				slept += d
+			if d := e.opts.Backoff.Delay(site, try); d > 0 {
 				t := time.NewTimer(d)
 				select {
 				case <-t.C:
