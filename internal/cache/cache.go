@@ -64,7 +64,11 @@ type Cache struct {
 	// LLC has 8192 sets), so a zero mask with Sets > 1, which selects
 	// the modulo fallback, serves only custom geometries.
 	setMask uint64 //catch:nosnap derived from Sets at construction
-	Stats   Stats
+	// plan, when non-nil, holds prewarmed lines not yet placed; Probe,
+	// Lookup and Fill place a set's share before they look at the set
+	// (see prewarmPlan).
+	plan  *prewarmPlan
+	Stats Stats
 }
 
 // SetPolicy installs a replacement policy by name ("lru", "srrip",
@@ -125,6 +129,9 @@ func (c *Cache) set(tag uint64) []Line {
 //catch:hotpath
 func (c *Cache) Probe(addr uint64) *Line {
 	tag := lineTag(addr)
+	if c.plan != nil {
+		c.placeSet(c.setIndex(tag))
+	}
 	set := c.set(tag)
 	for i := range set {
 		if set[i].Valid && set[i].Tag == tag {
@@ -140,6 +147,9 @@ func (c *Cache) Probe(addr uint64) *Line {
 func (c *Cache) Lookup(addr uint64) (*Line, bool) {
 	c.Stats.Lookups++
 	tag := lineTag(addr)
+	if c.plan != nil {
+		c.placeSet(c.setIndex(tag))
+	}
 	set := c.set(tag)
 	for i := range set {
 		if set[i].Valid && set[i].Tag == tag {
@@ -171,6 +181,9 @@ type Victim struct {
 func (c *Cache) Fill(addr uint64, fillTime int64, originLat int64, dirty bool, pf PrefetchID) Victim {
 	tag := lineTag(addr)
 	setIdx := c.setIndex(tag)
+	if c.plan != nil {
+		c.placeSet(setIdx)
+	}
 	set := c.lines[setIdx*c.Cfg.Ways : (setIdx+1)*c.Cfg.Ways]
 	c.Stats.Fills++
 	if pf != PfNone {

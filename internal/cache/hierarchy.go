@@ -529,18 +529,23 @@ func (h *Hierarchy) fillLLC(la uint64, fillTime int64, dirty bool, pf PrefetchID
 	}
 }
 
-// Prewarm installs every line of regs directly into the LLC at time
-// zero, bypassing the demand path (used to emulate the steady-state
-// cache residency a much longer run would reach). Lines are installed
-// in order and a line already resident is skipped, so the result
-// equals probing and filling each line in turn.
+// Prewarm installs every line of regs into the LLC at time zero,
+// bypassing the demand path (used to emulate the steady-state cache
+// residency a much longer run would reach). Lines are installed in
+// order and a line already resident is skipped, so the result equals
+// probing and filling each line in turn.
 //
 // The LLC must be untouched: no fill or hit yet, so its clock is still
-// zero; Prewarm panics otherwise. Each set then holds only lines this
-// call installed, none touched twice, so LRU evicts them oldest first
-// and the k-th line a set receives lands in way k mod Ways without a
-// victim scan. A full set under an RRIP policy takes the ordinary fill
-// path, whose victim depends on the set's aging state.
+// zero; Prewarm panics otherwise. Under the built-in LRU, with regions
+// that share no line and, for an inclusive LLC, no set receiving more
+// lines than it has ways, Prewarm only records a plan that Probe,
+// Lookup and Fill carry out one set at a time on first touch (see
+// prewarmPlan). Otherwise it walks every line now: each set holds only
+// lines this call installed, none touched twice, so LRU evicts them
+// oldest first and the k-th line a set receives lands in way k mod
+// Ways without a victim scan; a full set under an RRIP policy takes
+// the ordinary fill path, whose victim depends on the set's aging
+// state, and an inclusive LLC back-invalidates each victim.
 func (h *Hierarchy) Prewarm(regs []trace.Region) {
 	if len(regs) == 0 {
 		return
@@ -548,6 +553,9 @@ func (h *Hierarchy) Prewarm(regs []trace.Region) {
 	c := h.LLC
 	if c.tick != 0 {
 		panic("cache: Prewarm on an LLC that has already been filled or hit")
+	}
+	if c.policy == nil && c.planPrewarm(regs, h.Inclusive) {
+		return
 	}
 	ways := c.Cfg.Ways
 	received := make([]int32, c.Sets) // lines installed in each set so far

@@ -52,24 +52,34 @@ func TestPrewarmPanicsAfterAccess(t *testing.T) {
 	h.Prewarm([]trace.Region{{Base: 0x300000, Size: 64}})
 }
 
-// TestPrewarmMatchesPerLine is the bulk prewarm's exactness property.
-// Random region lists (overlapping, unaligned, overflowing their sets)
-// over random LLC geometries (set counts that are not a power of two
-// included), under every replacement policy, with and without an L2
-// and with inclusive and exclusive LLCs, must leave the whole
-// Hierarchy deeply equal to the per-line reference: lines, LRU clock,
-// statistics, policy state, and the private caches and memory that
-// inclusive back-invalidation reaches.
+// TestPrewarmMatchesPerLine is the prewarm's exactness property.
+// Random region lists (overlapping or disjoint, unaligned, overflowing
+// their sets) over random LLC geometries (set counts that are not a
+// power of two included), under every replacement policy, with and
+// without an L2 and with inclusive and exclusive LLCs, must leave the
+// whole Hierarchy deeply equal to the per-line reference: lines, LRU
+// clock, statistics, policy state, and the private caches and memory
+// that inclusive back-invalidation reaches. A deferred plan is placed
+// in full before that comparison. A second prewarmed copy then keeps
+// its plan while the same seeded loads and stores drive it and the
+// reference, so first-touch placement interleaves with fills, hits,
+// evictions and back-invalidation, and must end deeply equal again.
 func TestPrewarmMatchesPerLine(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261017))
-	policies := []string{"lru", "srrip", "brrip", "drrip"}
-	var overflowed, repeated int
-	for i := 0; i < 400; i++ {
+	// LRU, the one policy a plan serves, runs in half the cases.
+	policies := []string{"lru", "srrip", "lru", "brrip", "lru", "drrip"}
+	var overflowed, repeated, deferred, eager int
+	for i := 0; i < 800; i++ {
 		sets := []int{1, 3, 7, 8, 24, 64}[rng.Intn(6)]
 		ways := []int{1, 2, 4, 11, 13}[rng.Intn(5)]
-		policy := policies[i%4]
-		withL2, inclusive := i/4%2 == 0, i/8%2 == 0
-		regs := randomRegions(rng, sets*ways)
+		policy := policies[i%6]
+		withL2, inclusive := i/6%2 == 0, i/12%2 == 0
+		var regs []trace.Region
+		if i/24%2 == 0 {
+			regs = disjointRegions(rng, sets*ways)
+		} else {
+			regs = randomRegions(rng, sets*ways)
+		}
 		private := randomLines(rng, sets*ways)
 		build := func() *Hierarchy {
 			h := newTestHier(withL2, inclusive)
@@ -85,11 +95,17 @@ func TestPrewarmMatchesPerLine(t *testing.T) {
 			}
 			return h
 		}
-		want, got := build(), build()
+		want, got, driven := build(), build(), build()
 		prewarmPerLine(want, regs)
 		got.Prewarm(regs)
-		want.BackInval, got.BackInval = nil, nil
-		if !reflect.DeepEqual(got, want) {
+		driven.Prewarm(regs)
+		if got.LLC.plan != nil {
+			deferred++
+		} else {
+			eager++
+		}
+		got.LLC.PlacePrewarm()
+		if !hierEqual(got, want) {
 			t.Fatalf("case %d (%d sets x %d ways, %s, L2 %v, inclusive %v, regions %v): Prewarm differs from the per-line loop in %s",
 				i, sets, ways, policy, withL2, inclusive, regs, hierDiff(got, want))
 		}
@@ -99,10 +115,19 @@ func TestPrewarmMatchesPerLine(t *testing.T) {
 		if want.LLC.Stats.Fills < walkedLines(regs) {
 			repeated++
 		}
+
+		n, seed, span := 1+rng.Intn(4*sets*ways), rng.Uint64(), uint64(5*sets*ways*trace.CacheLineSize)
+		driveRandom(want, n, seed, span)
+		driveRandom(driven, n, seed, span)
+		driven.LLC.PlacePrewarm()
+		if !hierEqual(driven, want) {
+			t.Fatalf("case %d (%d sets x %d ways, %s, L2 %v, inclusive %v, regions %v): after %d accesses the prewarmed hierarchy differs from the per-line one in %s",
+				i, sets, ways, policy, withL2, inclusive, regs, n, hierDiff(driven, want))
+		}
 	}
-	if overflowed < 100 || repeated < 100 {
-		t.Fatalf("weak inputs: %d cases overflowed a set and %d repeated a line, want at least 100 each",
-			overflowed, repeated)
+	if overflowed < 100 || repeated < 100 || deferred < 100 || eager < 100 {
+		t.Fatalf("weak inputs: %d cases overflowed a set, %d repeated a line, %d deferred the prewarm and %d walked it eagerly, want at least 100 each",
+			overflowed, repeated, deferred, eager)
 	}
 }
 
@@ -128,6 +153,30 @@ func randomRegions(rng *rand.Rand, llcLines int) []trace.Region {
 	return regs
 }
 
+// disjointRegions draws one to five regions that share no line, in
+// shuffled address order, over about the span randomRegions uses.
+// Together they hold up to twice the LLC's capacity, so some sets
+// overflow in about half the draws. Neighbours may abut, and bases are
+// unaligned half the time.
+func disjointRegions(rng *rand.Rand, llcLines int) []trace.Region {
+	regs := make([]trace.Region, 1+rng.Intn(5))
+	line := uint64(rng.Intn(llcLines)) // the first line no region holds yet
+	for i := range regs {
+		lines := 1 + uint64(rng.Intn(max(2*llcLines/len(regs), 1)))
+		var off uint64
+		if rng.Intn(2) == 0 {
+			off = uint64(1 + rng.Intn(trace.CacheLineSize-1))
+		}
+		// The region ends inside its last line, so it covers exactly
+		// lines lines from line.
+		size := (lines-1)*trace.CacheLineSize + 1 + uint64(rng.Intn(trace.CacheLineSize-int(off)))
+		regs[i] = trace.Region{Base: line*trace.CacheLineSize + off, Size: size}
+		line += lines + uint64(rng.Intn(llcLines/2+1))
+	}
+	rng.Shuffle(len(regs), func(i, j int) { regs[i], regs[j] = regs[j], regs[i] })
+	return regs
+}
+
 // randomLines draws line addresses from the same span as randomRegions.
 func randomLines(rng *rand.Rand, llcLines int) []uint64 {
 	out := make([]uint64, 1+rng.Intn(32))
@@ -146,6 +195,15 @@ func walkedLines(regs []trace.Region) uint64 {
 		}
 	}
 	return n
+}
+
+// hierEqual deep-compares two hierarchies, all but their BackInval
+// hooks (functions never compare equal).
+func hierEqual(a, b *Hierarchy) bool {
+	ai, bi := a.BackInval, b.BackInval
+	a.BackInval, b.BackInval = nil, nil
+	defer func() { a.BackInval, b.BackInval = ai, bi }()
+	return reflect.DeepEqual(a, b)
 }
 
 // hierDiff names the components in which two hierarchies differ.

@@ -38,8 +38,10 @@ func policyTag(p Policy) uint8 {
 	return polLRU
 }
 
-// SnapshotTo appends the cache's full mutable state.
+// SnapshotTo appends the cache's full mutable state, placing any
+// deferred prewarm first so the image holds every line.
 func (c *Cache) SnapshotTo(w *snap.Writer) {
+	c.PlacePrewarm()
 	w.U64(uint64(c.Sets))
 	w.U64(uint64(c.Cfg.Ways))
 	w.I64(c.tick)
@@ -66,10 +68,12 @@ func (c *Cache) SnapshotTo(w *snap.Writer) {
 }
 
 // RestoreFrom restores state serialized by SnapshotTo into a cache of
-// identical geometry.
+// identical geometry, dropping any deferred prewarm: the image
+// overwrites every line.
 func (c *Cache) RestoreFrom(r *snap.Reader) error {
 	r.Expect(uint64(c.Sets), c.Cfg.Name+" set count")
 	r.Expect(uint64(c.Cfg.Ways), c.Cfg.Name+" way count")
+	c.plan = nil
 	c.tick = r.I64()
 	for i := range c.lines {
 		l := &c.lines[i]

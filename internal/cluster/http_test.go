@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"catch/internal/config"
 	"catch/internal/runner"
 )
 
@@ -166,5 +168,52 @@ func TestClusterSweepRejectsRepeatedAndUnknownNames(t *testing.T) {
 	}
 	if n := executedTotal(tc); n != 0 {
 		t.Fatalf("rejected sweeps executed %d simulations", n)
+	}
+}
+
+// TestShardRejectsForeignConfig: a shard job must carry exactly the
+// registered config of its name, because a shard body is the one that
+// carries a whole SystemConfig and NewSystem sizes its arrays from it.
+// A job whose config differs in one harmless field (LLCLat) and a job
+// naming an unknown config each get a 400 with a JSON error and execute
+// nothing; the registered config itself still runs.
+func TestShardRejectsForeignConfig(t *testing.T) {
+	tc := newTestCluster(t, 1, nil)
+	cfg, _ := testResolver()("nol2-catch")
+	changed, unknown := cfg, cfg
+	changed.LLCLat++
+	unknown.Name = "nosuch"
+	post := func(c config.SystemConfig) (int, errorBody) {
+		t.Helper()
+		body, err := json.Marshal(shardRequest{Jobs: []runner.Job{runner.STJob(c, "mcf", 2_000, 500)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(tc.urls[0]+"/v1/cluster/shard", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var eb errorBody
+		_ = json.NewDecoder(resp.Body).Decode(&eb) // a 200 carries results, not an error
+		return resp.StatusCode, eb
+	}
+	for _, c := range []struct {
+		name string
+		cfg  config.SystemConfig
+	}{{"changed LLCLat", changed}, {"unknown name", unknown}} {
+		status, eb := post(c.cfg)
+		if status != http.StatusBadRequest || eb.Error == "" {
+			t.Errorf("%s: status %d, error %q; want 400 with a JSON error", c.name, status, eb.Error)
+		}
+	}
+	if n := executedTotal(tc); n != 0 {
+		t.Fatalf("rejected shards executed %d simulations", n)
+	}
+	if status, eb := post(cfg); status != http.StatusOK {
+		t.Fatalf("registered config: status %d (%s), want 200", status, eb.Error)
+	}
+	if n := executedTotal(tc); n != 1 {
+		t.Fatalf("the accepted shard executed %d simulations, want 1", n)
 	}
 }

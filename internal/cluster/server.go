@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -175,24 +177,46 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 
 // handleShard executes one sweep shard on the local engine.
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
-	var req shardRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{"bad request body: " + err.Error()})
+	jobs, err := decodeShard(r.Body, s.Resolve)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, errorBody{err.Error()})
 		return
-	}
-	if len(req.Jobs) == 0 {
-		writeJSON(w, http.StatusBadRequest, errorBody{"shard needs at least one job"})
-		return
-	}
-	for i := range req.Jobs {
-		if err := req.Jobs[i].Validate(); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{fmt.Sprintf("shard job %d: %v", i, err)})
-			return
-		}
 	}
 	s.Node.mShardsIn.Inc()
-	out := s.Node.ExecuteShard(r.Context(), req.Jobs)
+	out := s.Node.ExecuteShard(r.Context(), jobs)
 	writeJSON(w, http.StatusOK, shardResponse{Jobs: out})
+}
+
+// decodeShard reads a POST /v1/cluster/shard body and checks every job
+// before anything runs: there is at least one, each passes Validate,
+// and each carries exactly the config its name resolves to. A shard is
+// the one body that carries a whole SystemConfig, and a foreign one
+// could ask NewSystem for arrays of any size. It returns no jobs with
+// an error.
+func decodeShard(body io.Reader, resolve runner.ConfigResolver) ([]runner.Job, error) {
+	var req shardRequest
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		return nil, fmt.Errorf("bad request body: %v", err)
+	}
+	if len(req.Jobs) == 0 {
+		return nil, errors.New("shard needs at least one job")
+	}
+	for i := range req.Jobs {
+		j := &req.Jobs[i]
+		if err := j.Validate(); err != nil {
+			return nil, fmt.Errorf("shard job %d: %v", i, err)
+		}
+		cfg, ok := resolve(j.Config.Name)
+		if !ok {
+			return nil, fmt.Errorf("shard job %d: unknown config %q", i, j.Config.Name)
+		}
+		registered := *j
+		registered.Config = cfg
+		if registered.Key() != j.Key() {
+			return nil, fmt.Errorf("shard job %d: config %q differs from this node's registered config of that name", i, j.Config.Name)
+		}
+	}
+	return req.Jobs, nil
 }
 
 func (s *Server) handleFill(w http.ResponseWriter, r *http.Request) {

@@ -238,9 +238,9 @@ func TestRunMPOneCoreMatchesRunST(t *testing.T) {
 }
 
 // TestRunMPPrewarmMatchesPerLine pins RunMP's single prewarm pass over
-// all cores: on 4-core mixes it must leave the shared LLC deeply equal
-// to prewarming each core's regions line by line, probe then fill, in
-// core order.
+// all cores: on 4-core mixes it must leave the shared LLC, once every
+// set is placed, deeply equal to prewarming each core's regions line by
+// line, probe then fill, in core order.
 func TestRunMPPrewarmMatchesPerLine(t *testing.T) {
 	mixes := workloads.Mixes()
 	for _, base := range []config.SystemConfig{config.BaselineExclusive(), config.BaselineInclusive()} {
@@ -249,6 +249,7 @@ func TestRunMPPrewarmMatchesPerLine(t *testing.T) {
 		for _, mix := range []workloads.Mix{mixes[0], mixes[len(mixes)-1]} {
 			got := NewSystem(cfg)
 			got.setWorkloads(mix.Gens())
+			got.LLC.PlacePrewarm()
 
 			want := NewSystem(cfg)
 			for i, gen := range mix.Gens() {
