@@ -34,11 +34,14 @@ partition-smoke:
 # fuzz-smoke runs every native fuzz target for a short -fuzztime
 # beyond its seed corpus (which plain `go test` already replays): the
 # POST /v1/run body, the fault-plan parser, the benchmark-output
-# parser, the POST /v1/sweep body, the POST /v1/cluster/fill body and
-# the POST /v1/cluster/shard body. Go fuzzes one target per invocation,
-# hence one line per target. A shard body carries a whole config (about
-# 1 KB), and minimizing each new input that large under the default
-# budget would take the whole run, so that target caps it at 100 execs.
+# parser, the POST /v1/sweep body, the POST /v1/cluster/fill body, the
+# POST /v1/cluster/shard body, the job key's one-pass encoder against
+# its reference, and a disk cache entry read by Cache.GetDisk. Go
+# fuzzes one target per invocation, hence one line per target. A shard
+# body carries a whole config (about 1 KB), and a cache entry a whole
+# result list (about 2 KB) written to a fresh directory per input;
+# minimizing each new input that large under the default budget would
+# take the whole run, so those two targets cap it at 100 execs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRunRequest$$' -fuzztime 10s ./internal/runner
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 10s ./internal/fault
@@ -46,6 +49,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepRequest$$' -fuzztime 10s ./internal/runner
 	$(GO) test -run '^$$' -fuzz '^FuzzFillRequest$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzShardRequest$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzJobKey$$' -fuzztime 10s ./internal/runner
+	$(GO) test -run '^$$' -fuzz '^FuzzCacheEntry$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/runner
 
 # sample-smoke proves representative-interval sampling stays honest:
 # the fig13 grid run through a sampling engine must reproduce every

@@ -2,18 +2,19 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
+	"io"
 	"slices"
 	"testing"
 
 	"catch/internal/runner"
 )
 
-// FuzzFillRequest feeds arbitrary bytes to the POST /v1/cluster/fill
-// body decoder and HandleFill, exactly as handleFill runs them, on a
-// one-node Node. It must never panic; an accepted body must carry a
-// runner.ValidKey key and non-empty results, and that key must then be
-// cached; a rejected body must leave the cache's key list unchanged.
+// FuzzFillRequest feeds arbitrary bytes to decodeFill, the POST
+// /v1/cluster/fill body decoder, and HandleFill, exactly as handleFill
+// runs them, on a one-node Node. It must never panic; an accepted body
+// must fit maxFillBody and carry a runner.ValidKey key and non-empty
+// results, and that key must then be cached; a rejected body must
+// leave the cache's key list unchanged.
 // Seeds are a valid fill, the same fill with the "replica" field older
 // nodes sent, a malformed key and an empty result list.
 func FuzzFillRequest(f *testing.F) {
@@ -30,8 +31,7 @@ func FuzzFillRequest(f *testing.F) {
 	cache := n.opts.Engine.Cache()
 	f.Fuzz(func(t *testing.T, body []byte) {
 		before := cache.Keys()
-		var req fillRequest
-		err := json.NewDecoder(bytes.NewReader(body)).Decode(&req)
+		req, err := decodeFill(nil, io.NopCloser(bytes.NewReader(body)))
 		if err == nil {
 			err = n.HandleFill(req.Key, req.Results)
 		}
@@ -40,6 +40,9 @@ func FuzzFillRequest(f *testing.F) {
 				t.Fatalf("%.120q: rejected (%v) but the cache went from %d to %d keys", body, err, len(before), len(after))
 			}
 			return
+		}
+		if len(body) > maxFillBody {
+			t.Fatalf("accepted a %d-byte body, over the %d-byte cap", len(body), maxFillBody)
 		}
 		if !runner.ValidKey(req.Key) || len(req.Results) == 0 {
 			t.Fatalf("%.120q: accepted key %.80q with %d results", body, req.Key, len(req.Results))

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -93,5 +95,44 @@ func TestFillNeverFansOut(t *testing.T) {
 				t.Fatalf("%s: fill reached node %d", tt.name, j)
 			}
 		}
+	}
+}
+
+// TestFillRejectsOversizedBody posts a 300 KB fill of 100,000 empty
+// results. Each 3-byte {} would decode to a 960-byte core.Result: an
+// uncapped node answered 200, cached all of them and allocated about
+// 500 MB for the one request. The body must get 400 with a JSON error,
+// cache nothing, and cost the handler under 1 MB of allocation.
+func TestFillRejectsOversizedBody(t *testing.T) {
+	n := newFillNode(t)
+	h := (&Server{Node: n}).Handler()
+	key := fillKey(0)
+	body := `{"key":"` + key + `","results":[{}` + strings.Repeat(`,{}`, 99_999) + `]}`
+	if len(body) < 300_000 {
+		t.Fatalf("test body is %d bytes, want at least 300 KB", len(body))
+	}
+	req := httptest.NewRequest(http.MethodPost, "/v1/cluster/fill", strings.NewReader(body))
+	rec := httptest.NewRecorder()
+	const allocBound = 1 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("oversized fill got %d, want 400", rec.Code)
+	}
+	var eb errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Error == "" {
+		t.Fatalf("oversized fill's 400 is not a JSON error: %q", rec.Body.String())
+	}
+	if _, ok := n.opts.Engine.Cache().Get(key); ok {
+		t.Fatal("an oversized fill was cached")
+	}
+	if keys := n.opts.Engine.Cache().Keys(); len(keys) != 0 {
+		t.Fatalf("an oversized fill left %d keys in the cache", len(keys))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > allocBound {
+		t.Fatalf("the oversized fill allocated %d bytes, bound %d", got, allocBound)
 	}
 }

@@ -219,13 +219,35 @@ func decodeShard(body io.Reader, resolve runner.ConfigResolver) ([]runner.Job, e
 	return req.Jobs, nil
 }
 
-func (s *Server) handleFill(w http.ResponseWriter, r *http.Request) {
+// maxFillBody caps a POST /v1/cluster/fill body. A fill carries one
+// job's results, one per core, so at most 8: the ring stops of every
+// registered config. A result is about 2 KB as JSON, and 4.3 KB with
+// every number at its widest, so the largest legitimate fill is under
+// 36 KB. Without a cap a fill was unbounded: each 3-byte {} decodes to
+// a 960-byte core.Result, and every result is cached and written to
+// disk.
+const maxFillBody = 64 << 10
+
+// decodeFill reads a POST /v1/cluster/fill body. A body over
+// maxFillBody is rejected before any of it is decoded.
+func decodeFill(w http.ResponseWriter, body io.ReadCloser) (fillRequest, error) {
 	var req fillRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{"bad request body: " + err.Error()})
-		return
+	raw, err := io.ReadAll(http.MaxBytesReader(w, body, maxFillBody))
+	if err == nil {
+		err = json.Unmarshal(raw, &req)
 	}
-	if err := s.Node.HandleFill(req.Key, req.Results); err != nil {
+	if err != nil {
+		return fillRequest{}, fmt.Errorf("bad request body: %v", err)
+	}
+	return req, nil
+}
+
+func (s *Server) handleFill(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeFill(w, r.Body)
+	if err == nil {
+		err = s.Node.HandleFill(req.Key, req.Results)
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{err.Error()})
 		return
 	}

@@ -15,7 +15,7 @@ import (
 // attached to the declaration it describes: trailing on the same line
 // or in the doc comment directly above it. Markers that exempt a field
 // from a completeness obligation (nosnap, noreset, keyneutral) require
-// a reason; pure markers (hotpath, stats, keyfn) do not. The
+// a reason; pure markers (hotpath, stats, keyfn, keyenc) do not. The
 // annotation-hygiene analyzer rejects unknown markers and missing
 // reasons, and each state-coverage analyzer reports annotations of its
 // marker that have gone stale — an exemption must not outlive the gap
@@ -36,6 +36,7 @@ var annoSpecs = map[string]annoSpec{
 	"keyneutral": {true, "field deliberately does not flow into a content key (key-coverage)"},
 	"stats":      {false, "type opts into reset-coverage despite not being named *Stats"},
 	"keyfn":      {false, "function derives a content key; key-coverage checks its inputs"},
+	"keyenc":     {false, "function writes its arguments' canonical JSON; key-coverage walks them as json.Marshal arguments"},
 }
 
 // anno is one parsed //catch: annotation.

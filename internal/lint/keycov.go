@@ -12,19 +12,22 @@ import (
 // every behavior-affecting field. Key-derivation functions are marked
 // //catch:keyfn (Job.Key, ConfigFingerprint). For each keyfn:
 //
-//   - every struct type passed to json.Marshal is walked recursively:
-//     an unexported field or a json:"-" field is invisible to the
-//     canonical JSON and therefore absent from the key — a finding
-//     unless annotated //catch:keyneutral <reason>; a keyneutral on a
-//     field that does marshal is stale;
+//   - every struct type passed to json.Marshal, or to a function marked
+//     //catch:keyenc (a canonical encoder that follows encoding/json's
+//     field rules, such as the one behind Job.Key), is walked
+//     recursively: an unexported field or a json:"-" field is
+//     invisible to the canonical JSON and therefore absent from the
+//     key — a finding unless annotated //catch:keyneutral <reason>; a
+//     keyneutral on a field that does marshal is stale;
 //   - every named-module-struct parameter NOT passed to Marshal must
 //     have each of its fields selected somewhere in the function body
 //     (the Sprintf-style keys), or be annotated keyneutral.
 //
 // A backstop catches unannotated key derivations: a function that
-// hashes (sha256.Sum256 or snap.Fnv1a) the output of json.Marshal, or
-// sha256-hashes with spec structs in scope, must carry //catch:keyfn
-// so its inputs stay checked as they grow.
+// hashes (sha256.Sum256 or snap.Fnv1a) the output of json.Marshal or
+// of a keyenc encoder, or sha256-hashes with spec structs in scope,
+// must carry //catch:keyfn so its inputs stay checked as they grow. A
+// keyenc encoder no keyfn calls is reported as stale.
 func NewKeyCoverage(eng *stateEngine) *Analyzer {
 	a := &Analyzer{
 		Name: "key-coverage",
@@ -32,16 +35,17 @@ func NewKeyCoverage(eng *stateEngine) *Analyzer {
 	}
 	a.Run = func(pass *Pass) { eng.collect(pass) }
 	a.End = func(report func(Diagnostic)) {
-		c := &keyChecker{eng: eng, report: report, consumed: make(map[*anno]bool)}
+		c := &keyChecker{eng: eng, report: report, consumed: make(map[*anno]bool), encoderUsed: make(map[*funcFacts]bool)}
 		c.check()
 	}
 	return a
 }
 
 type keyChecker struct {
-	eng      *stateEngine
-	report   func(Diagnostic)
-	consumed map[*anno]bool
+	eng         *stateEngine
+	report      func(Diagnostic)
+	consumed    map[*anno]bool
+	encoderUsed map[*funcFacts]bool // keyenc encoders some keyfn calls
 }
 
 func (c *keyChecker) reportf(pos token.Pos, format string, args ...any) {
@@ -62,13 +66,31 @@ func (c *keyChecker) check() {
 		c.backstop(ff)
 	}
 	c.staleKeyneutral()
+	c.staleKeyenc()
+}
+
+// encoded returns the types ff hands to a canonical JSON encoding: the
+// arguments of its json.Marshal calls and the struct arguments of its
+// calls to //catch:keyenc encoders, each of which it marks in used
+// unless used is nil.
+func (c *keyChecker) encoded(ff *funcFacts, used map[*funcFacts]bool) []types.Type {
+	out := append([]types.Type(nil), ff.marshals...)
+	for _, sc := range ff.structCalls {
+		if enc := c.eng.funcs[sc.fn]; enc != nil && enc.anno["keyenc"] != nil {
+			out = append(out, sc.args...)
+			if used != nil {
+				used[enc] = true
+			}
+		}
+	}
+	return out
 }
 
 // checkKeyfn verifies one key-derivation function's inputs.
 func (c *keyChecker) checkKeyfn(ff *funcFacts, an *anno) {
 	visited := make(map[*types.TypeName]bool)
 	marshaled := make(map[*types.TypeName]bool)
-	for _, mt := range ff.marshals {
+	for _, mt := range c.encoded(ff, c.encoderUsed) {
 		for _, tn := range c.eng.containedStructs(mt) {
 			marshaled[tn] = true
 			c.jsonWalk(ff, tn, visited)
@@ -88,7 +110,7 @@ func (c *keyChecker) checkKeyfn(ff *funcFacts, an *anno) {
 		c.selectWalk(ff, tn)
 	}
 	if !checkedAny {
-		c.reportf(an.pos, "stale //catch:keyfn on %s: no spec-struct parameters and no json.Marshal calls to check", funcDisplayName(ff.obj))
+		c.reportf(an.pos, "stale //catch:keyfn on %s: no spec-struct parameters and no json.Marshal or //catch:keyenc calls to check", funcDisplayName(ff.obj))
 	}
 }
 
@@ -169,7 +191,7 @@ func (c *keyChecker) backstop(ff *funcFacts) {
 	if isSnapPkg(ff.obj.Pkg()) {
 		return
 	}
-	hashesJSON := (ff.callsSha || ff.callsFnv) && len(ff.marshals) > 0
+	hashesJSON := (ff.callsSha || ff.callsFnv) && len(c.encoded(ff, nil)) > 0
 	hashesSpec := ff.callsSha && c.hasStructParamOrRecv(ff)
 	if hashesJSON || hashesSpec {
 		c.reportf(ff.decl.Pos(), "%s hashes spec data into what looks like a content key; annotate //catch:keyfn so key-coverage can check its inputs",
@@ -205,6 +227,16 @@ func (c *keyChecker) staleKeyneutral() {
 			}
 			c.reportf(an.pos, "stale //catch:keyneutral on %s: %s is not examined by any //catch:keyfn function",
 				fieldName(sf.obj, fv), qualified(sf.obj))
+		}
+	}
+}
+
+// staleKeyenc reports keyenc encoders no keyfn calls: nothing proves
+// that what they encode is a key.
+func (c *keyChecker) staleKeyenc() {
+	for _, ff := range c.eng.sortedFuncs() {
+		if an := ff.anno["keyenc"]; an != nil && !c.encoderUsed[ff] {
+			c.reportf(an.pos, "stale //catch:keyenc on %s: no //catch:keyfn function calls it", funcDisplayName(ff.obj))
 		}
 	}
 }

@@ -59,8 +59,19 @@ type funcFacts struct {
 	litField map[*types.Var]bool
 
 	marshals []types.Type // argument types passed to json.Marshal
-	callsSha bool         // calls crypto/sha256.Sum256
-	callsFnv bool         // calls snap.Fnv1a
+	// structCalls records each call handed a named struct (or a pointer
+	// to one), with those argument types. Key-coverage resolves which
+	// callees are //catch:keyenc encoders once every package is in.
+	structCalls []structCall
+	callsSha    bool // calls crypto/sha256.Sum256
+	callsFnv    bool // calls snap.Fnv1a
+}
+
+// structCall is one call and the argument types that lead to named
+// structs.
+type structCall struct {
+	fn   *types.Func
+	args []types.Type
 }
 
 func newStateEngine() *stateEngine {
@@ -217,8 +228,8 @@ func (e *stateEngine) collectComposite(pass *Pass, ff *funcFacts, cl *ast.Compos
 	}
 }
 
-// collectCall records call-graph edges and the hash/marshal markers
-// key-coverage keys off.
+// collectCall records call-graph edges, the struct arguments of each
+// call, and the hash/marshal markers key-coverage keys off.
 func (e *stateEngine) collectCall(pass *Pass, ff *funcFacts, call *ast.CallExpr) {
 	obj := calleeObj(pass.Info, call)
 	fn, ok := obj.(*types.Func)
@@ -226,6 +237,15 @@ func (e *stateEngine) collectCall(pass *Pass, ff *funcFacts, call *ast.CallExpr)
 		return
 	}
 	ff.calls = append(ff.calls, fn)
+	var structArgs []types.Type
+	for _, arg := range call.Args {
+		if t := pass.Info.TypeOf(arg); namedStructOf(t) != nil {
+			structArgs = append(structArgs, t)
+		}
+	}
+	if structArgs != nil {
+		ff.structCalls = append(ff.structCalls, structCall{fn: fn.Origin(), args: structArgs})
+	}
 	switch {
 	case fn.Name() == "Marshal" && pkgPathOf(fn) == "encoding/json":
 		if len(call.Args) > 0 {

@@ -18,6 +18,13 @@ func TestKeyCoverageFixture(t *testing.T) {
 	runFixtureTest(t, "keycov.txt", []*Analyzer{NewKeyCoverage(newStateEngine())})
 }
 
+// TestKeyCoverageEncoderFixture: a keyfn that hashes a //catch:keyenc
+// encoder's output gets the encoder's argument walked like a
+// json.Marshal argument.
+func TestKeyCoverageEncoderFixture(t *testing.T) {
+	runFixtureTest(t, "keyenc.txt", []*Analyzer{NewKeyCoverage(newStateEngine())})
+}
+
 // TestAnnotationHygieneFixture asserts by substring rather than want
 // comments: a reasonless annotation cannot carry an inline want — the
 // want text would parse as its reason and erase the finding.

@@ -11,13 +11,10 @@
 package runner
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"runtime/debug"
-	"sort"
 	"strings"
 
 	"catch/internal/config"
@@ -62,23 +59,20 @@ func MPJob(cfg config.SystemConfig, names []string, insts, warmup int64) Job {
 // Key returns the job's content address: a hex SHA-256 over the
 // canonical JSON encoding of (config name+params, workloads, insts,
 // warmup). Canonicalization sorts object keys recursively, so the key
-// is stable across struct field reordering and across processes.
+// is stable across struct field reordering and across processes. The
+// encoding is written in one pass (appendCanonicalJob), byte-identical
+// to json.Marshal with every object's keys re-sorted.
 //
 //catch:keyfn
 func (j Job) Key() string {
-	raw, err := json.Marshal(&j)
-	if err != nil {
-		// SystemConfig and the scalar fields are plain data; this
-		// cannot fail for a well-formed job.
-		panic("runner: job not encodable: " + err.Error())
-	}
-	canon, err := CanonicalJSON(raw)
-	if err != nil {
-		panic("runner: job not canonicalizable: " + err.Error())
-	}
-	sum := sha256.Sum256(canon)
+	sum := sha256.Sum256(appendCanonicalJob(make([]byte, 0, keyBufSize), &j))
 	return hex.EncodeToString(sum[:])
 }
+
+// keyBufSize holds a registered config's job in one allocation: its
+// canonical JSON is about 1.1 KB, and 1.2 KB with eight workloads,
+// Sample and Convert set.
+const keyBufSize = 1536
 
 // Validate checks that every workload name resolves, that the job fits
 // its config's ring (one core per workload, one core per ring stop) and
@@ -197,68 +191,4 @@ func (g *Grid) Jobs() []Job {
 		}
 	}
 	return jobs
-}
-
-// CanonicalJSON re-encodes a JSON document with object keys sorted
-// recursively and numbers preserved verbatim, so that two encodings of
-// the same value hash identically regardless of field order.
-func CanonicalJSON(raw []byte) ([]byte, error) {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.UseNumber()
-	var v any
-	if err := dec.Decode(&v); err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := writeCanonical(&buf, v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func writeCanonical(buf *bytes.Buffer, v any) error {
-	switch x := v.(type) {
-	case map[string]any:
-		keys := make([]string, 0, len(x))
-		for k := range x {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		buf.WriteByte('{')
-		for i, k := range keys {
-			if i > 0 {
-				buf.WriteByte(',')
-			}
-			kb, err := json.Marshal(k)
-			if err != nil {
-				return err
-			}
-			buf.Write(kb)
-			buf.WriteByte(':')
-			if err := writeCanonical(buf, x[k]); err != nil {
-				return err
-			}
-		}
-		buf.WriteByte('}')
-	case []any:
-		buf.WriteByte('[')
-		for i, e := range x {
-			if i > 0 {
-				buf.WriteByte(',')
-			}
-			if err := writeCanonical(buf, e); err != nil {
-				return err
-			}
-		}
-		buf.WriteByte(']')
-	case json.Number:
-		buf.WriteString(x.String())
-	default:
-		b, err := json.Marshal(x)
-		if err != nil {
-			return err
-		}
-		buf.Write(b)
-	}
-	return nil
 }

@@ -1,12 +1,112 @@
 package runner
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"reflect"
+	"sort"
 	"testing"
 
+	"catch/internal/cache"
 	"catch/internal/config"
 )
+
+// referenceJSON is the job key's input as it was first defined:
+// json.Marshal, then a decode into generic values and a re-encode with
+// every object's keys sorted. appendCanonicalJob must write the same
+// bytes; it exists only to skip the round trip.
+func referenceJSON(t testing.TB, j *Job) []byte {
+	t.Helper()
+	raw, err := json.Marshal(j)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	canon, err := CanonicalJSON(raw)
+	if err != nil {
+		t.Fatalf("canonicalize: %v", err)
+	}
+	return canon
+}
+
+// checkKeyMatchesReference fails t unless the encoder writes the
+// reference's bytes for j and Key hashes them.
+func checkKeyMatchesReference(t testing.TB, what string, j Job) {
+	t.Helper()
+	want := referenceJSON(t, &j)
+	if got := appendCanonicalJob(nil, &j); !bytes.Equal(got, want) {
+		t.Fatalf("%s: encoder differs from the reference:\n got %q\nwant %q", what, got, want)
+	}
+	sum := sha256.Sum256(want)
+	if got := j.Key(); got != hex.EncodeToString(sum[:]) {
+		t.Fatalf("%s: Key %s is not the SHA-256 of the canonical JSON", what, got)
+	}
+}
+
+// CanonicalJSON re-encodes a JSON document with object keys sorted
+// recursively and numbers preserved verbatim, so that two encodings of
+// the same value hash identically regardless of field order.
+func CanonicalJSON(raw []byte) ([]byte, error) {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	var v any
+	if err := dec.Decode(&v); err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	if err := writeCanonical(&buf, v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+func writeCanonical(buf *bytes.Buffer, v any) error {
+	switch x := v.(type) {
+	case map[string]any:
+		keys := make([]string, 0, len(x))
+		for k := range x {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		buf.WriteByte('{')
+		for i, k := range keys {
+			if i > 0 {
+				buf.WriteByte(',')
+			}
+			kb, err := json.Marshal(k)
+			if err != nil {
+				return err
+			}
+			buf.Write(kb)
+			buf.WriteByte(':')
+			if err := writeCanonical(buf, x[k]); err != nil {
+				return err
+			}
+		}
+		buf.WriteByte('}')
+	case []any:
+		buf.WriteByte('[')
+		for i, e := range x {
+			if i > 0 {
+				buf.WriteByte(',')
+			}
+			if err := writeCanonical(buf, e); err != nil {
+				return err
+			}
+		}
+		buf.WriteByte(']')
+	case json.Number:
+		buf.WriteString(x.String())
+	default:
+		b, err := json.Marshal(x)
+		if err != nil {
+			return err
+		}
+		buf.Write(b)
+	}
+	return nil
+}
 
 // TestJobKeyCoversEveryConfigField is the dynamic counterpart of the
 // key-coverage analyzer: it perturbs every reachable field of a Job —
@@ -149,4 +249,122 @@ func collectLeaves(t *testing.T, v reflect.Value) []leaf {
 		t.Fatalf("only %d perturbable fields found; the walker is losing coverage", len(leaves))
 	}
 	return leaves
+}
+
+// keyShapes are the job shapes the reference comparison perturbs: a
+// single-thread job, one with Sample and Convert set, an 8-workload
+// job whose strings need escaping or hold invalid UTF-8, and the zero
+// Job.
+func keyShapes(cfg config.SystemConfig) map[string]Job {
+	st := STJob(cfg, "mcf", 40_000, 8_000)
+	full := STJob(cfg, "hmmer", 40_000, 8_000)
+	full.Sample = &SampleSpec{Interval: 4_000, K: 3}
+	full.Config.Convert = &config.ConvertSpec{From: cache.HitLLC, ToLat: config.MemLatApprox, OnlyNonCritical: true}
+	odd := MPJob(cfg, []string{"mcf", "bad\xff\xfeutf8", "<&>", "\"\\", "\xed\xa0\x80", "line\u2028sep\u2029", "\ufffd", "ctl\x01\n\t\x7f"}, 20_000, 0)
+	odd.Config.Name += "\xc3"
+	odd.Config.LLCPolicy = "\x00\x1f<script>"
+	return map[string]Job{"st": st, "full": full, "odd": odd, "zero": {}}
+}
+
+// TestJobKeyMatchesReference keys every shape of keyShapes on three
+// configs, and every single-field perturbation of each that
+// TestJobKeyCoversEveryConfigField applies, and requires the encoder
+// to write exactly the reference's bytes each time.
+func TestJobKeyMatchesReference(t *testing.T) {
+	cfgs := []config.SystemConfig{
+		config.BaselineExclusive(),
+		config.BaselineInclusive(),
+		config.WithCATCH(config.NoL2(config.BaselineExclusive(), 6656*config.KB, 13, ""), "nol2-6.5-catch"),
+	}
+	n := 0
+	for _, cfg := range cfgs {
+		for shape, job := range keyShapes(cfg) {
+			what := cfg.Name + "/" + shape
+			checkKeyMatchesReference(t, what, job)
+			n++
+			for _, leaf := range collectLeaves(t, reflect.ValueOf(job)) {
+				cp := deepCopyJob(t, job)
+				leaf.mutate(navigate(reflect.ValueOf(&cp).Elem(), leaf.path))
+				checkKeyMatchesReference(t, what+" "+leaf.name, cp)
+				n++
+			}
+		}
+	}
+	t.Logf("%d jobs keyed identically to the reference", n)
+}
+
+// TestAppendStringMatchesReference writes every byte value alone
+// between two letters, plus multi-byte runes and malformed sequences,
+// and requires the string encoder to agree with the reference on each,
+// so neither its copy-through path nor its escaping path can drift
+// from encoding/json's.
+func TestAppendStringMatchesReference(t *testing.T) {
+	strs := []string{"", "\u2028", "\u2029", "\ufffd", "\xed\xa0\x80", "\xff\xfe", "\xc3", "é€😀", "\xf0\x9f\x98"}
+	for b := 0; b < 256; b++ {
+		strs = append(strs, "a"+string([]byte{byte(b)})+"z")
+	}
+	for _, s := range strs {
+		raw, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := CanonicalJSON(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendString(nil, s); !bytes.Equal(got, want) {
+			t.Errorf("appendString(%q) = %q, reference %q", s, got, want)
+		}
+	}
+}
+
+// TestPlanCanonicalRejects pins the planner's refusal of every kind
+// Job's type tree does not use: a field of such a kind panics at
+// package initialisation instead of silently encoding differently
+// from encoding/json.
+func TestPlanCanonicalRejects(t *testing.T) {
+	type inner struct{ A int }
+	for name, typ := range map[string]reflect.Type{
+		"float":      reflect.TypeFor[struct{ F float64 }](),
+		"map":        reflect.TypeFor[struct{ M map[string]int }](),
+		"interface":  reflect.TypeFor[struct{ I any }](),
+		"array":      reflect.TypeFor[struct{ A [2]int }](),
+		"embedded":   reflect.TypeFor[struct{ inner }](),
+		"byte slice": reflect.TypeFor[struct{ B []byte }](),
+		"string option": reflect.TypeFor[struct {
+			N int `json:",string"`
+		}](),
+		"duplicate name": reflect.StructOf([]reflect.StructField{
+			{Name: "A", Type: reflect.TypeFor[int](), Tag: `json:"a"`},
+			{Name: "B", Type: reflect.TypeFor[int](), Tag: `json:"a"`},
+		}),
+		"text marshaler": reflect.TypeFor[struct{ L textLevel }](),
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("planCanonical(%s) did not panic", typ)
+				}
+			}()
+			planCanonical(typ)
+		})
+	}
+}
+
+// textLevel is encoded by encoding/json through its MarshalText.
+type textLevel uint8
+
+func (l textLevel) MarshalText() ([]byte, error) { return []byte{'L', '0' + byte(l)}, nil }
+
+// keySink keeps BenchmarkJobKey's calls from being optimized away.
+var keySink string
+
+// BenchmarkJobKey keys a CATCH single-thread job, the key every result
+// cache hit and cluster placement computes.
+func BenchmarkJobKey(b *testing.B) {
+	job := STJob(config.WithCATCH(config.BaselineExclusive(), "catch"), "mcf", 300_000, 60_000)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		keySink = job.Key()
+	}
 }
