@@ -36,12 +36,15 @@ partition-smoke:
 # POST /v1/run body, the fault-plan parser, the benchmark-output
 # parser, the POST /v1/sweep body, the POST /v1/cluster/fill body, the
 # POST /v1/cluster/shard body, the job key's one-pass encoder against
-# its reference, and a disk cache entry read by Cache.GetDisk. Go
-# fuzzes one target per invocation, hence one line per target. A shard
-# body carries a whole config (about 1 KB), and a cache entry a whole
-# result list (about 2 KB) written to a fresh directory per input;
+# its reference, a disk cache entry read by Cache.GetDisk and checked
+# against encoding/json, ValidKey against its regular expression, and
+# the peer responses to GET /v1/results/{key} and GET
+# /v1/cluster/manifest. Go fuzzes one target per invocation, hence one
+# line per target. A shard body carries a whole config (about 1 KB), a
+# cache entry a whole result list (about 2 KB) written to a fresh
+# directory per input, and a peer response a whole document;
 # minimizing each new input that large under the default budget would
-# take the whole run, so those two targets cap it at 100 execs.
+# take the whole run, so those four targets cap it at 100 execs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRunRequest$$' -fuzztime 10s ./internal/runner
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 10s ./internal/fault
@@ -51,6 +54,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzShardRequest$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzJobKey$$' -fuzztime 10s ./internal/runner
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheEntry$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/runner
+	$(GO) test -run '^$$' -fuzz '^FuzzValidKey$$' -fuzztime 10s ./internal/runner
+	$(GO) test -run '^$$' -fuzz '^FuzzPeerResult$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzPeerManifest$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/cluster
 
 # sample-smoke proves representative-interval sampling stays honest:
 # the fig13 grid run through a sampling engine must reproduce every

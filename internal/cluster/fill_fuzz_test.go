@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"slices"
+	"strings"
 	"testing"
 
 	"catch/internal/runner"
@@ -12,11 +13,12 @@ import (
 // FuzzFillRequest feeds arbitrary bytes to decodeFill, the POST
 // /v1/cluster/fill body decoder, and HandleFill, exactly as handleFill
 // runs them, on a one-node Node. It must never panic; an accepted body
-// must fit maxFillBody and carry a runner.ValidKey key and non-empty
-// results, and that key must then be cached; a rejected body must
-// leave the cache's key list unchanged.
+// must fit maxFillBody and carry a runner.ValidKey key and 1 to
+// maxFillResults results, and that key must then be cached; a rejected
+// body must leave the cache's key list unchanged.
 // Seeds are a valid fill, the same fill with the "replica" field older
-// nodes sent, a malformed key and an empty result list.
+// nodes sent, a malformed key, an empty result list and one result too
+// many.
 func FuzzFillRequest(f *testing.F) {
 	key := fillKey(0)
 	for _, body := range []string{
@@ -24,6 +26,7 @@ func FuzzFillRequest(f *testing.F) {
 		`{"key":"` + key + `","results":[{"Workload":"mcf","IPC":1}],"replica":true}`,
 		`{"key":"not hex!","results":[{"Workload":"mcf","IPC":1}]}`,
 		`{"key":"` + key + `","results":[]}`,
+		`{"key":"` + key + `","results":[{}` + strings.Repeat(`,{}`, maxFillResults) + `]}`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -44,7 +47,7 @@ func FuzzFillRequest(f *testing.F) {
 		if len(body) > maxFillBody {
 			t.Fatalf("accepted a %d-byte body, over the %d-byte cap", len(body), maxFillBody)
 		}
-		if !runner.ValidKey(req.Key) || len(req.Results) == 0 {
+		if !runner.ValidKey(req.Key) || len(req.Results) == 0 || len(req.Results) > maxFillResults {
 			t.Fatalf("%.120q: accepted key %.80q with %d results", body, req.Key, len(req.Results))
 		}
 		if _, ok := cache.Get(req.Key); !ok {

@@ -11,6 +11,8 @@ import (
 
 	"catch/internal/config"
 	"catch/internal/core"
+	"catch/internal/experiments"
+	"catch/internal/interconnect"
 	"catch/internal/runner"
 )
 
@@ -134,5 +136,77 @@ func TestFillRejectsOversizedBody(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > allocBound {
 		t.Fatalf("the oversized fill allocated %d bytes, bound %d", got, allocBound)
+	}
+}
+
+// TestFillRejectsTooManyResults posts a fill just under the 64 KB body
+// cap made of 21,816 empty results. An uncounted node answered 200,
+// cached every one of them and allocated about 95 MB for the request.
+// More than maxFillResults results must get 400 with a JSON error,
+// cache nothing and cost the handler under 1 MB of allocation,
+// while a fill of exactly maxFillResults is still stored. A results
+// document of the same shape is refused the same way.
+func TestFillRejectsTooManyResults(t *testing.T) {
+	n := newFillNode(t)
+	h := (&Server{Node: n}).Handler()
+	key := fillKey(0)
+	prefix := `{"key":"` + key + `","results":[{}`
+	body := prefix + strings.Repeat(`,{}`, (maxFillBody-len(prefix)-2)/3) + `]}`
+	if len(body) > maxFillBody || len(body) < maxFillBody-3 {
+		t.Fatalf("test body is %d bytes, want just under %d", len(body), maxFillBody)
+	}
+	const allocBound = 1 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/cluster/fill", strings.NewReader(body)))
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("a fill of %d results got %d, want 400", strings.Count(body, "{}"), rec.Code)
+	}
+	var eb errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Error == "" {
+		t.Fatalf("the 400 is not a JSON error: %q", rec.Body.String())
+	}
+	if keys := n.opts.Engine.Cache().Keys(); len(keys) != 0 {
+		t.Fatalf("a fill of too many results left %d keys in the cache", len(keys))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > allocBound {
+		t.Fatalf("the fill allocated %d bytes, bound %d", got, allocBound)
+	}
+	if _, err := decodeResultDoc(strings.NewReader(body)); err == nil {
+		t.Fatal("decodeResultDoc accepted the same document")
+	}
+
+	result := `{"Workload":"mcf","IPC":1}`
+	for results, want := range map[int]int{maxFillResults: http.StatusOK, maxFillResults + 1: http.StatusBadRequest} {
+		fill := `{"key":"` + key + `","results":[` + strings.TrimSuffix(strings.Repeat(result+",", results), ",") + `]}`
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/cluster/fill", strings.NewReader(fill)))
+		if rec.Code != want {
+			t.Fatalf("a fill of %d results got %d, want %d", results, rec.Code, want)
+		}
+	}
+	if rs, ok := n.opts.Engine.Cache().Get(key); !ok || len(rs) != maxFillResults {
+		t.Fatalf("the fill of %d results was not stored (%d results)", maxFillResults, len(rs))
+	}
+	if err := n.HandleFill(fillKey(1), make([]core.Result, maxFillResults+1)); err == nil {
+		t.Fatalf("HandleFill accepted %d results", maxFillResults+1)
+	}
+}
+
+// TestRegisteredConfigsFitFillBound pins maxFillResults to the config
+// registry: a job runs at most one workload per ring stop, so no
+// registered config may have more stops than a fill may carry
+// results, or its replicas would be refused.
+func TestRegisteredConfigsFitFillBound(t *testing.T) {
+	for _, name := range experiments.ConfigNames() {
+		cfg, ok := experiments.ConfigByName(name)
+		if !ok {
+			t.Fatalf("registered config %q does not resolve", name)
+		}
+		if stops := interconnect.New(cfg.RingStops, 0).Stops; stops > maxFillResults {
+			t.Errorf("config %q has %d ring stops, more than maxFillResults (%d)", name, stops, maxFillResults)
+		}
 	}
 }

@@ -288,8 +288,8 @@ func (n *Node) replicate(ctx context.Context, key string, rs []core.Result) {
 // copy out again: every fill is already part of some node's fan-out,
 // and a receiver that re-fanned would loop copies around the ring.
 func (n *Node) HandleFill(key string, rs []core.Result) error {
-	if !runner.ValidKey(key) || len(rs) == 0 {
-		return fmt.Errorf("cluster: fill needs a valid key and non-empty results")
+	if !runner.ValidKey(key) || len(rs) == 0 || len(rs) > maxFillResults {
+		return fmt.Errorf("cluster: fill needs a valid key and 1 to %d results", maxFillResults)
 	}
 	n.mReplicasIn.Inc()
 	n.opts.Engine.Cache().Put(key, rs)

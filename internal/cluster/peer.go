@@ -242,9 +242,9 @@ func (c *Client) do(ctx context.Context, peer, op, site string, useBreaker bool,
 	return nil
 }
 
-// getJSON performs a GET and decodes the 200 body into out. A 404
-// reports found=false with no error; any other status is an error.
-func (c *Client) getJSON(ctx context.Context, peer, op, site, url string, useBreaker bool, out any) (found bool, err error) {
+// get performs a GET and hands the 200 body to decode. A 404 reports
+// found=false with no error; any other status is an error.
+func (c *Client) get(ctx context.Context, peer, op, site, url string, useBreaker bool, decode func(io.Reader) error) (found bool, err error) {
 	err = c.do(ctx, peer, op, site, useBreaker, func(ctx context.Context) error {
 		req, rerr := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 		if rerr != nil {
@@ -259,7 +259,7 @@ func (c *Client) getJSON(ctx context.Context, peer, op, site, url string, useBre
 		switch resp.StatusCode {
 		case http.StatusOK:
 			found = true
-			return json.NewDecoder(resp.Body).Decode(out)
+			return decode(resp.Body)
 		case http.StatusNotFound:
 			return nil
 		default:
@@ -369,7 +369,10 @@ type resultDoc struct {
 // only). found=false is a clean miss.
 func (c *Client) FetchResult(ctx context.Context, peer, key string) ([]core.Result, bool, error) {
 	var doc resultDoc
-	found, err := c.getJSON(ctx, peer, "fetch", key, peer+"/v1/results/"+key, true, &doc)
+	found, err := c.get(ctx, peer, "fetch", key, peer+"/v1/results/"+key, true, func(body io.Reader) (err error) {
+		doc, err = decodeResultDoc(body)
+		return err
+	})
 	if err != nil || !found {
 		return nil, false, err
 	}
@@ -379,13 +382,26 @@ func (c *Client) FetchResult(ctx context.Context, peer, key string) ([]core.Resu
 	return doc.Results, true, nil
 }
 
+// decodeResultDoc reads a GET /v1/results/{key} response body. Like a
+// fill, it holds one job's results, so decodeResults refuses more than
+// maxFillResults.
+func decodeResultDoc(body io.Reader) (resultDoc, error) {
+	key, rs, err := decodeResults(body)
+	if err != nil {
+		return resultDoc{}, err
+	}
+	return resultDoc{Key: key, Results: rs}, nil
+}
+
 // Probe pings a peer for the failure detector. It bypasses the peer's
 // breaker — the prober IS the thing that decides up/down, and an open
 // breaker must not be able to mask a recovered peer — and treats a
 // shed response as alive (the peer answered; it is busy, not dead).
 func (c *Client) Probe(ctx context.Context, peer string) error {
-	var doc pingDoc
-	_, err := c.getJSON(ctx, peer, "probe", peer, peer+"/v1/cluster/ping", false, &doc)
+	_, err := c.get(ctx, peer, "probe", peer, peer+"/v1/cluster/ping", false, func(body io.Reader) error {
+		var doc pingDoc
+		return json.NewDecoder(body).Decode(&doc)
+	})
 	if err != nil && IsShed(err) {
 		return nil
 	}
@@ -396,7 +412,10 @@ func (c *Client) Probe(ctx context.Context, peer string) error {
 // the reconcile diff.
 func (c *Client) Manifest(ctx context.Context, peer string) ([]string, error) {
 	var doc manifestDoc
-	found, err := c.getJSON(ctx, peer, "manifest", peer, peer+"/v1/cluster/manifest", true, &doc)
+	found, err := c.get(ctx, peer, "manifest", peer, peer+"/v1/cluster/manifest", true, func(body io.Reader) (err error) {
+		doc, err = decodeManifest(body)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -404,6 +423,15 @@ func (c *Client) Manifest(ctx context.Context, peer string) ([]string, error) {
 		return nil, fmt.Errorf("peer %s: no cluster manifest", peer)
 	}
 	return doc.Keys, nil
+}
+
+// decodeManifest reads a GET /v1/cluster/manifest response body.
+func decodeManifest(body io.Reader) (manifestDoc, error) {
+	var doc manifestDoc
+	if err := json.NewDecoder(body).Decode(&doc); err != nil {
+		return manifestDoc{}, err
+	}
+	return doc, nil
 }
 
 // RunShard dispatches a job shard to its owner peer and returns the

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -219,12 +220,17 @@ func decodeShard(body io.Reader, resolve runner.ConfigResolver) ([]runner.Job, e
 	return req.Jobs, nil
 }
 
-// maxFillBody caps a POST /v1/cluster/fill body. A fill carries one
-// job's results, one per core, so at most 8: the ring stops of every
-// registered config. A result is about 2 KB as JSON, and 4.3 KB with
-// every number at its widest, so the largest legitimate fill is under
-// 36 KB. Without a cap a fill was unbounded: each 3-byte {} decodes to
-// a 960-byte core.Result, and every result is cached and written to
+// maxFillResults bounds the results of one job, and so of a fill or a
+// results-API document: one result per core, and a job runs at most
+// one core per ring stop. Every registered config has 8 ring stops
+// (TestRegisteredConfigsFitFillBound).
+const maxFillResults = 8
+
+// maxFillBody caps a POST /v1/cluster/fill body. A result is about
+// 2 KB as JSON, and 4.3 KB with every number at its widest, so the
+// largest legitimate fill, maxFillResults results, is under 36 KB.
+// Without a cap a fill was unbounded: each 3-byte {} decodes to a
+// 960-byte core.Result, and every result is cached and written to
 // disk.
 const maxFillBody = 64 << 10
 
@@ -234,12 +240,72 @@ func decodeFill(w http.ResponseWriter, body io.ReadCloser) (fillRequest, error) 
 	var req fillRequest
 	raw, err := io.ReadAll(http.MaxBytesReader(w, body, maxFillBody))
 	if err == nil {
-		err = json.Unmarshal(raw, &req)
+		req.Key, req.Results, err = decodeResults(bytes.NewReader(raw))
 	}
 	if err != nil {
 		return fillRequest{}, fmt.Errorf("bad request body: %v", err)
 	}
 	return req, nil
+}
+
+// decodeResults reads a JSON object whose "key" and "results" fields
+// carry one job's results: a fill body or a results document. It
+// streams the list and refuses the result past maxFillResults before
+// decoding it, so a long list of small results never becomes a long
+// list of core.Results. Other fields are skipped.
+func decodeResults(r io.Reader) (string, []core.Result, error) {
+	dec := json.NewDecoder(r)
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return "", nil, errors.New("want a JSON object")
+	}
+	var key string
+	var rs []core.Result
+	for dec.More() {
+		name, err := dec.Token()
+		switch {
+		case err != nil:
+		case name == "key":
+			err = dec.Decode(&key)
+		case name == "results":
+			rs, err = decodeResultList(dec)
+		default:
+			err = dec.Decode(new(json.RawMessage))
+		}
+		if err != nil {
+			return "", nil, err
+		}
+	}
+	if _, err := dec.Token(); err != nil { // the closing brace
+		return "", nil, err
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return "", nil, errors.New("data after the JSON object")
+	}
+	return key, rs, nil
+}
+
+// decodeResultList reads a "results" value: null, or a list of at most
+// maxFillResults results.
+func decodeResultList(dec *json.Decoder) ([]core.Result, error) {
+	tok, err := dec.Token()
+	if err != nil || tok == nil {
+		return nil, err
+	}
+	if tok != json.Delim('[') {
+		return nil, errors.New("results is not a list")
+	}
+	rs := []core.Result{}
+	for dec.More() {
+		if len(rs) == maxFillResults {
+			return nil, fmt.Errorf("more than %d results, the most one job has", maxFillResults)
+		}
+		rs = append(rs, core.Result{})
+		if err := dec.Decode(&rs[len(rs)-1]); err != nil {
+			return nil, err
+		}
+	}
+	_, err = dec.Token() // the closing bracket
+	return rs, err
 }
 
 func (s *Server) handleFill(w http.ResponseWriter, r *http.Request) {

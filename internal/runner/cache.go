@@ -3,7 +3,6 @@ package runner
 import (
 	"encoding/json"
 	"fmt"
-	"regexp"
 	"slices"
 
 	"catch/internal/core"
@@ -140,11 +139,12 @@ func (c *Cache) GetMem(key string) ([]core.Result, bool) {
 
 // GetDisk reads the on-disk entry for key only, without populating the
 // memory layer (tier promotion is the caller's decision). Disk health
-// feeds the cache's breaker exactly as in the combined path. A corrupt
-// entry is quarantined — renamed to *.corrupt on first detection so it
-// is kept for inspection but never re-read — and treated as a miss,
-// never a failure: the job simply recomputes and persists a fresh
-// entry.
+// feeds the cache's breaker exactly as in the combined path. An entry
+// is corrupt unless it is json.Marshal's layout of a non-empty result
+// list (decodeEntry). A corrupt entry is quarantined — renamed to
+// *.corrupt on first detection so it is kept for inspection but never
+// re-read — and treated as a miss, never a failure: the job simply
+// recomputes and persists a fresh entry.
 func (c *Cache) GetDisk(key string) ([]core.Result, bool) {
 	if !ValidKey(key) {
 		return nil, false
@@ -154,8 +154,8 @@ func (c *Cache) GetDisk(key string) ([]core.Result, bool) {
 	if !ok {
 		return nil, false
 	}
-	var rs []core.Result
-	if err := json.Unmarshal(raw, &rs); err != nil || len(rs) == 0 {
+	rs, err := decodeEntry(raw)
+	if err != nil || len(rs) == 0 {
 		c.badDisk.Inc()
 		c.disk.Quarantine(name)
 		return nil, false
@@ -234,13 +234,21 @@ func (c *Cache) Do(key string, compute func() ([]core.Result, error)) (rs []core
 	return rs, !computed, err
 }
 
-var keyPattern = regexp.MustCompile(`^[0-9a-f]{16,64}$`)
-
-// ValidKey reports whether key has the shape of a content address (a
-// plain lowercase-hex digest). The HTTP layers validate client-supplied
-// keys with it up front so a malformed key is a 400, never a disk probe
-// or a 500.
-func ValidKey(key string) bool { return keyPattern.MatchString(key) }
+// ValidKey reports whether key has the shape of a content address: 16
+// to 64 lowercase hex digits, the language ^[0-9a-f]{16,64}$. The HTTP
+// layers validate client-supplied keys with it up front so a malformed
+// key is a 400, never a disk probe or a 500.
+func ValidKey(key string) bool {
+	if len(key) < 16 || len(key) > 64 {
+		return false
+	}
+	for i := 0; i < len(key); i++ {
+		if c := key[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
 
 // fileName maps a valid key to its on-disk entry. Callers check
 // ValidKey first: the HTTP layer passes client-supplied keys through,

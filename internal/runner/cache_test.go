@@ -7,7 +7,9 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -236,6 +238,30 @@ func TestCacheKeys(t *testing.T) {
 	m.Do(memKey, func() ([]core.Result, error) { return oneResult("m"), nil })
 	if got := m.Keys(); len(got) != 1 || got[0] != memKey {
 		t.Fatalf("memory-only Keys() = %v", got)
+	}
+}
+
+// keyPattern defines the shape of a content address; ValidKey decides
+// the same language without a regular expression.
+var keyPattern = regexp.MustCompile(`^[0-9a-f]{16,64}$`)
+
+// validKeyCases sit on and around every edge of keyPattern: both
+// length bounds, each character class boundary, and a newline where
+// a multi-line pattern would stop.
+var validKeyCases = []string{
+	"", "0123456789abcdef", "0123456789abcde", strings.Repeat("f", 64), strings.Repeat("f", 65),
+	strings.Repeat("0", 16) + "\n", "\n" + strings.Repeat("0", 16), "0123456789abcdeF", "0123456789abcdeg",
+	"/123456789abcdef", ":123456789abcdef", "`123456789abcdef", "0123456789abcde\x00", "0123456789abcd\xc3\xa9",
+	"../evil", "a/b", "UPPER", "short", STJob(config.BaselineExclusive(), "mcf", 100, 50).Key(),
+}
+
+// TestValidKeyMatchesPattern compares ValidKey with keyPattern on
+// validKeyCases; FuzzValidKey does so on arbitrary strings.
+func TestValidKeyMatchesPattern(t *testing.T) {
+	for _, key := range validKeyCases {
+		if got, want := ValidKey(key), keyPattern.MatchString(key); got != want {
+			t.Errorf("ValidKey(%q) = %v, the pattern says %v", key, got, want)
+		}
 	}
 }
 

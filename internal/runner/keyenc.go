@@ -40,15 +40,23 @@ var (
 	textMarshaler = reflect.TypeFor[encoding.TextMarshaler]()
 )
 
+// implementsAny reports whether t or *t implements any of ifaces.
+func implementsAny(t reflect.Type, ifaces ...reflect.Type) bool {
+	for _, i := range ifaces {
+		if t.Implements(i) || reflect.PointerTo(t).Implements(i) {
+			return true
+		}
+	}
+	return false
+}
+
 // planCanonical builds the encoder for t. It panics on anything outside
 // the kinds Job's type tree uses (structs, pointers, slices, strings,
 // bools and integers) and on types encoding/json would encode through
 // a custom marshaler.
 func planCanonical(t reflect.Type) appendFunc {
-	for _, m := range []reflect.Type{t, reflect.PointerTo(t)} {
-		if m.Implements(jsonMarshaler) || m.Implements(textMarshaler) {
-			panic(fmt.Sprintf("runner: job key cannot encode %s: it has a custom JSON or text marshaler", t))
-		}
+	if implementsAny(t, jsonMarshaler, textMarshaler) {
+		panic(fmt.Sprintf("runner: job key cannot encode %s: it has a custom JSON or text marshaler", t))
 	}
 	switch t.Kind() {
 	case reflect.Struct:
@@ -93,49 +101,18 @@ func planCanonical(t reflect.Type) appendFunc {
 
 // fieldPlan is one struct field as the canonical JSON writes it.
 type fieldPlan struct {
-	name      string
-	key       []byte // the encoded name and its colon
-	index     int
-	omitEmpty bool
-	enc       appendFunc
+	jsonField
+	enc appendFunc
 }
 
-// planStruct resolves t's fields as encoding/json does (the json tag's
-// name, else the Go name; unexported and json:"-" fields skipped;
-// omitempty honoured) and sorts them by name.
+// planStruct binds each of t's JSON fields to its type's encoder and
+// sorts them by name.
 func planStruct(t reflect.Type) appendFunc {
 	var fields []fieldPlan
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		if f.Anonymous {
-			panic(fmt.Sprintf("runner: job key cannot encode embedded field %s.%s", t, f.Name))
-		}
-		tag := f.Tag.Get("json")
-		if !f.IsExported() || tag == "-" {
-			continue
-		}
-		name, opts, _ := strings.Cut(tag, ",")
-		if name == "" {
-			name = f.Name
-		}
-		fp := fieldPlan{name: name, key: append(appendString(nil, name), ':'), index: i, enc: planCanonical(f.Type)}
-		for _, opt := range strings.Split(opts, ",") {
-			switch opt {
-			case "":
-			case "omitempty":
-				fp.omitEmpty = true
-			default:
-				panic(fmt.Sprintf("runner: job key cannot encode %s.%s: json option %q", t, f.Name, opt))
-			}
-		}
-		fields = append(fields, fp)
+	for _, f := range jsonFields(t, "job key cannot encode") {
+		fields = append(fields, fieldPlan{jsonField: f, enc: planCanonical(f.typ)})
 	}
 	slices.SortFunc(fields, func(a, b fieldPlan) int { return strings.Compare(a.name, b.name) })
-	for i := 1; i < len(fields); i++ {
-		if fields[i].name == fields[i-1].name {
-			panic(fmt.Sprintf("runner: job key cannot encode %s: two fields named %q", t, fields[i].name))
-		}
-	}
 	return func(dst []byte, v reflect.Value) []byte {
 		dst = append(dst, '{')
 		first := true
@@ -153,6 +130,56 @@ func planStruct(t reflect.Type) appendFunc {
 		}
 		return append(dst, '}')
 	}
+}
+
+// jsonField is one struct field as encoding/json names it.
+type jsonField struct {
+	name      string
+	key       []byte // the encoded name and its colon
+	index     int
+	typ       reflect.Type
+	omitEmpty bool
+}
+
+// jsonFields resolves t's fields, in declaration order, as
+// encoding/json does: the json tag's name, else the Go name;
+// unexported and json:"-" fields skipped; omitempty honoured. Both the
+// job key's encoder and the cache entry's decoder plan from it. It
+// panics, naming what in the message, on an embedded field, on any
+// json option but omitempty and on two fields of one name.
+func jsonFields(t reflect.Type, what string) []jsonField {
+	var fields []jsonField
+	seen := make(map[string]bool)
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if f.Anonymous {
+			panic(fmt.Sprintf("runner: %s embedded field %s.%s", what, t, f.Name))
+		}
+		tag := f.Tag.Get("json")
+		if !f.IsExported() || tag == "-" {
+			continue
+		}
+		name, opts, _ := strings.Cut(tag, ",")
+		if name == "" {
+			name = f.Name
+		}
+		if seen[name] {
+			panic(fmt.Sprintf("runner: %s %s: two fields named %q", what, t, name))
+		}
+		seen[name] = true
+		jf := jsonField{name: name, key: append(appendString(nil, name), ':'), index: i, typ: f.Type}
+		for _, opt := range strings.Split(opts, ",") {
+			switch opt {
+			case "":
+			case "omitempty":
+				jf.omitEmpty = true
+			default:
+				panic(fmt.Sprintf("runner: %s %s.%s: json option %q", what, t, f.Name, opt))
+			}
+		}
+		fields = append(fields, jf)
+	}
+	return fields
 }
 
 // isEmpty is encoding/json's omitempty test for the kinds the planner
