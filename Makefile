@@ -12,6 +12,24 @@ GO ?= go
 # tests.
 check: build fmtcheck vet lint race chaos cluster-smoke batch-smoke sample-smoke partition-smoke fuzz-smoke bench-check
 
+# smoke runs the named tests of one package, bypassing the go test
+# cache so it always re-proves. It first lists the package's tests and
+# fails if any named test is missing: a -run pattern drops a renamed or
+# deleted test silently, and the target would still pass.
+# Usage: $(call smoke,PACKAGE,TEST NAMES[,EXTRA FLAGS])
+empty :=
+space := $(empty) $(empty)
+define smoke
+	@pat='^($(subst $(space),|,$(strip $(2))))$$'; \
+	listed=$$($(GO) test -list "$$pat" $(1)) || { echo "$$listed"; exit 1; }; \
+	for name in $(strip $(2)); do \
+		printf '%s\n' "$$listed" | grep -qx "$$name" || \
+			{ echo "$(1) has no test $$name; update the smoke target"; exit 1; }; \
+	done; \
+	echo "$(GO) test -run '$$pat' -count=1 $(3) $(1)"; \
+	$(GO) test -run "$$pat" -count=1 $(3) $(1)
+endef
+
 # bench-check builds and tests the benchmark module (perfbench/, its own
 # Go module over the repository's packages), so an API change that
 # breaks the benchmark fails here rather than in a benchmark run.
@@ -26,10 +44,9 @@ bench-check:
 # empty one; and a split-brain 3-node cluster (seeded fault schedule
 # severing one node) keeps computing on both sides, then converges
 # every key to its full replica set in the first probe round after
-# heal, leaving the repair pass nothing to push. Bypasses the go test
-# cache so it always re-proves.
+# heal, leaving the repair pass nothing to push.
 partition-smoke:
-	$(GO) test -run 'TestClusterReplicationSurvivesKill|TestClusterHintedHandoffDrain|TestClusterDrainRefillsWipedPeer|TestClusterPartitionTolerance' -count=1 ./internal/cluster
+	$(call smoke,./internal/cluster,TestClusterReplicationSurvivesKill TestClusterReconcileOnReturn TestClusterDrainRefillsWipedPeer TestClusterPartitionTolerance)
 
 # fuzz-smoke runs every native fuzz target for a short -fuzztime
 # beyond its seed corpus (which plain `go test` already replays): the
@@ -40,13 +57,14 @@ partition-smoke:
 # against encoding/json, ValidKey against its regular expression, and
 # the peer responses to GET /v1/results/{key} and GET
 # /v1/cluster/manifest. Go fuzzes one target per invocation, hence one
-# line per target. A shard body carries a whole config (about 1 KB), a
-# cache entry a whole result list (about 2 KB) written to a fresh
-# directory per input, and a peer response a whole document;
-# minimizing each new input that large under the default budget would
-# take the whole run, so those four targets cap it at 100 execs.
+# line per target. A run body's seed names 1,000 workloads (6 KB), a
+# shard body carries a whole config (about 1 KB), a cache entry a whole
+# result list (about 2 KB) written to a fresh directory per input, and
+# a peer response a whole document; minimizing each new input that
+# large under the default budget would take most of the run, so those
+# five targets cap it at 100 execs.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzRunRequest$$' -fuzztime 10s ./internal/runner
+	$(GO) test -run '^$$' -fuzz '^FuzzRunRequest$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/runner
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 10s ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/perf
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepRequest$$' -fuzztime 10s ./internal/runner
@@ -63,34 +81,31 @@ fuzz-smoke:
 # per-workload normalized performance ratio within 2% of the exact run
 # while measuring at least 10x fewer instructions, with zero fallbacks
 # to full simulation, and its results must hash to the committed
-# sampled golden value. Bypasses the go test cache so it always
-# re-proves.
+# sampled golden value.
 sample-smoke:
-	$(GO) test -run 'TestSampleSmokeFig13' -count=1 ./internal/experiments
+	$(call smoke,./internal/experiments,TestSampleSmokeFig13)
 
 # batch-smoke proves the lock-step batch kernel preserves determinism:
 # the fig13 experiment run through a batching engine must hash to the
 # same committed golden value as the scalar run, while actually taking
-# the batch path. Bypasses the go test cache so it always re-proves.
+# the batch path.
 batch-smoke:
-	$(GO) test -run 'TestBatchSmokeFig13' -count=1 ./internal/experiments
+	$(call smoke,./internal/experiments,TestBatchSmokeFig13)
 
 # cluster-smoke proves the distribution layer preserves determinism: a
 # 3-node in-memory cluster shards a sweep over the ring and the
 # Flattened output must be byte-identical to the single-node run, with
 # the chaos variants (dead peer, injected peer faults) alongside.
-# Bypasses the go test cache so it always re-proves.
 cluster-smoke:
-	$(GO) test -run 'TestClusterSmoke|TestClusterKillOnePeer|TestClusterPeerFaultInjection' -count=1 ./internal/cluster
+	$(call smoke,./internal/cluster,TestClusterSmoke TestClusterKillOnePeer TestClusterPeerFaultInjection)
 
 # chaos re-proves determinism under injected faults: seeded fault
 # schedules (disk errors, corrupt cache entries, panics, hangs, and a
 # kill followed by a re-run over the same cache) over real small
 # sweeps must produce byte-identical results vs the fault-free run.
-# Runs the runner's four TestChaos* tests. Bypasses the go test cache;
-# ~1s.
+# Runs the runner's four TestChaos* tests; ~1s.
 chaos:
-	$(GO) test -run Chaos -count=1 -v ./internal/runner
+	$(call smoke,./internal/runner,TestChaosDeterminismUnderFaults TestChaosKillResumeCycle TestChaosHangRecoversViaTimeout TestChaosBatchHangFallsBack,-v)
 
 # lint runs the in-repo static-analysis suite (see DESIGN.md,
 # "Static analysis"): determinism, hotpath-noalloc,

@@ -40,11 +40,12 @@
 // Sweep jobs shard across the members by consistent hashing on their
 // content-addressed keys, each shard runs on its owner's engine, GET
 // /v1/results resolves through a tiered read path (local memory →
-// local disk → the key's replica peers), and GET /v1/cluster/status
-// reports ring membership, tier traffic, per-peer breaker state and
-// the health/replication view. A dead peer's shards reroute along the
-// ring; because jobs are pure functions of their key, an N-node sweep
-// is byte-identical to the single-node run.
+// local disk → the key's replica peers, skipping down ones), and GET
+// /v1/cluster/status reports ring membership, per-tier traffic,
+// per-peer breaker state and the health/replication view. A dead
+// peer's shards reroute along the ring, and its breaker fails calls to
+// it fast; because jobs are pure functions of their key, an N-node
+// sweep is byte-identical to the single-node run.
 //
 // -replicas R makes the cluster self-healing: each completed result
 // is pushed to its R ring owners, a seeded prober (-probe-interval)
@@ -56,8 +57,9 @@
 // nothing; a partitioned minority keeps computing, reports the keys
 // owed to unreachable replicas as "unreplicated" in
 // /v1/cluster/status, and reconciles on heal. -peer-timeout bounds
-// each control-plane peer call (shard dispatch is never
-// client-bounded; the probe deadline stays tight).
+// each control-plane peer call (result fetch, replica fill, manifest;
+// default 10s); the probe gets at most 2s, and shard dispatch is never
+// client-bounded.
 package main
 
 import (
@@ -219,7 +221,7 @@ func validate(o *options) error {
 		return fmt.Errorf("-repair-interval must be >= 0 (0 = anti-entropy repair off; got %v)", o.repairInterval)
 	}
 	if o.peerTimeout < 0 {
-		return fmt.Errorf("-peer-timeout must be >= 0 (0 = per-op defaults; got %v)", o.peerTimeout)
+		return fmt.Errorf("-peer-timeout must be >= 0 (0 = 10s; got %v)", o.peerTimeout)
 	}
 	return nil
 }
@@ -252,7 +254,7 @@ func main() {
 		replicas       = flag.Int("replicas", 0, "cluster members holding each completed result (0 = owner only)")
 		probeInterval  = flag.Duration("probe-interval", time.Second, "pace of the health prober driving live/suspect/down membership (0 = off)")
 		repairInterval = flag.Duration("repair-interval", 30*time.Second, "pace of the anti-entropy repair pass re-filling replica gaps (0 = off)")
-		peerTimeout    = flag.Duration("peer-timeout", 0, "deadline for each control-plane peer call; shard dispatch is never bounded by it (0 = per-op defaults)")
+		peerTimeout    = flag.Duration("peer-timeout", 0, "deadline for each control-plane peer call (result fetch, replica fill, manifest); the health probe gets at most 2s and shard dispatch is never bounded by it (0 = 10s)")
 	)
 	flag.Parse()
 
@@ -331,7 +333,7 @@ func main() {
 			ProbeInterval:    opts.probeInterval,
 			RepairInterval:   opts.repairInterval,
 			Seed:             plan.Seed,
-			Timeouts:         cluster.OpTimeouts{}.WithDefault(opts.peerTimeout),
+			PeerTimeout:      opts.peerTimeout,
 			Fault:            inj,
 			Metrics:          reg,
 			Logf: func(format string, args ...any) {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 
@@ -118,9 +119,11 @@ func newTestCluster(t *testing.T, n int, mutate func(i int, o *Options)) *testCl
 	return tc
 }
 
-// spawn builds node i anew — a fresh engine with an empty cache and a
-// fresh membership view, behind slot i's URL — and wires it to serve. Called on a running slot it models a node replaced by
-// a new process that lost its state.
+// spawn builds node i anew — a fresh engine with an empty memory-only
+// cache (unless mutate swaps in another engine) and a fresh membership
+// view, behind slot i's URL — and wires it to serve. Called on a
+// running slot it models a node replaced by a new process that lost
+// its state.
 func (tc *testCluster) spawn(t *testing.T, i int) {
 	t.Helper()
 	eng := runner.New(runner.Options{Workers: 2, Cache: runner.NewCache("")})
@@ -132,9 +135,9 @@ func (tc *testCluster) spawn(t *testing.T, i int) {
 	if err != nil {
 		t.Fatalf("node %d: %v", i, err)
 	}
-	inner := &runner.Server{Engine: eng, Resolve: testResolver()}
+	inner := &runner.Server{Engine: o.Engine, Resolve: testResolver()}
 	cs := &Server{Node: node, Resolve: testResolver(), Inner: inner.Handler()}
-	tc.nodes[i], tc.engines[i], tc.wired[i] = node, eng, cs.Handler()
+	tc.nodes[i], tc.engines[i], tc.wired[i] = node, o.Engine, cs.Handler()
 	tc.handlers[i].set(tc.wired[i])
 }
 
@@ -294,9 +297,18 @@ func executedTotal(tc *testCluster) uint64 {
 	return n
 }
 
-// TestClusterStatus exercises /v1/cluster/status end to end.
+// TestClusterStatus exercises /v1/cluster/status end to end, after one
+// read that node 1 serves from node 0 through its peer tier.
 func TestClusterStatus(t *testing.T) {
 	tc := newTestCluster(t, 3, nil)
+	key := "feedfacefeedface"
+	for i := 0; tc.nodes[0].Ring().Owner(key, nil) != tc.urls[0]; i++ {
+		key = fmt.Sprintf("%016x", i)
+	}
+	tc.engines[0].Cache().Put(key, tierResults())
+	if _, tier, ok := tc.nodes[1].Lookup(context.Background(), key, false); !ok || tier != "peer" {
+		t.Fatalf("lookup on node 1 = (%q, %v), want a peer hit", tier, ok)
+	}
 	resp, err := http.Get(tc.urls[1] + "/v1/cluster/status")
 	if err != nil {
 		t.Fatal(err)
@@ -312,8 +324,13 @@ func TestClusterStatus(t *testing.T) {
 	if len(doc.Members) != 3 || doc.VNodes != DefaultVNodes {
 		t.Fatalf("status members/vnodes = %d/%d", len(doc.Members), doc.VNodes)
 	}
-	if len(doc.Tiers) != 3 || doc.Tiers[0].Tier != "mem" || doc.Tiers[2].Tier != "peer" {
-		t.Fatalf("status tiers = %+v", doc.Tiers)
+	wantTiers := []TierStats{
+		{Tier: "mem", Misses: 1, Promotions: 1},
+		{Tier: "disk", Misses: 1, Promotions: 1},
+		{Tier: "peer", Hits: 1},
+	}
+	if !slices.Equal(doc.Tiers, wantTiers) {
+		t.Fatalf("status tiers = %+v, want %+v", doc.Tiers, wantTiers)
 	}
 	self := 0
 	for _, p := range doc.Peers {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -14,6 +15,7 @@ import (
 	"catch/internal/experiments"
 	"catch/internal/interconnect"
 	"catch/internal/runner"
+	"catch/internal/workloads"
 )
 
 // fillKey returns the content address of the i-th small test job.
@@ -124,7 +126,7 @@ func TestFillRejectsOversizedBody(t *testing.T) {
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("oversized fill got %d, want 400", rec.Code)
 	}
-	var eb errorBody
+	var eb runner.ErrorBody
 	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Error == "" {
 		t.Fatalf("oversized fill's 400 is not a JSON error: %q", rec.Body.String())
 	}
@@ -164,7 +166,7 @@ func TestFillRejectsTooManyResults(t *testing.T) {
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("a fill of %d results got %d, want 400", strings.Count(body, "{}"), rec.Code)
 	}
-	var eb errorBody
+	var eb runner.ErrorBody
 	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Error == "" {
 		t.Fatalf("the 400 is not a JSON error: %q", rec.Body.String())
 	}
@@ -209,4 +211,37 @@ func TestRegisteredConfigsFitFillBound(t *testing.T) {
 			t.Errorf("config %q has %d ring stops, more than maxFillResults (%d)", name, stops, maxFillResults)
 		}
 	}
+}
+
+// TestLargestBodiesFitCaps pins the POST body caps to the registries.
+// The largest legitimate sweep names every registered config and every
+// workload once, with the widest budgets; indented, it must fit
+// runner.MaxRequestBody (a run body is smaller still: one config and at
+// most one workload per ring stop). The largest legitimate shard holds
+// that whole sweep's jobs; it must fit maxShardBody twice over, so the
+// registry can double before the cap refuses a real shard.
+func TestLargestBodiesFitCaps(t *testing.T) {
+	sweep := runner.SweepRequest{Configs: experiments.ConfigNames(), Insts: math.MaxInt64, Warmup: math.MaxInt64}
+	for _, wl := range workloads.All() {
+		sweep.Workloads = append(sweep.Workloads, wl.WName)
+	}
+	raw, err := json.MarshalIndent(sweep, "", "    ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) > runner.MaxRequestBody {
+		t.Errorf("full-grid sweep body is %d bytes indented, over MaxRequestBody (%d)", len(raw), runner.MaxRequestBody)
+	}
+	jobs, err := sweep.Jobs(experiments.ConfigByName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard, err := json.Marshal(shardRequest{Jobs: jobs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if 2*len(shard) > maxShardBody {
+		t.Errorf("full-grid shard of %d jobs is %d bytes; maxShardBody (%d) must hold it twice", len(jobs), len(shard), maxShardBody)
+	}
+	t.Logf("largest sweep %d bytes indented; largest shard %d jobs, %d bytes", len(raw), len(jobs), len(shard))
 }

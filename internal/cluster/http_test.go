@@ -136,7 +136,7 @@ func TestResultsEmptyEntryIs404(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("empty entry served %s, want 404", resp.Status)
 	}
-	var body errorBody
+	var body runner.ErrorBody
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || body.Error == "" {
 		t.Fatalf("404 must carry a JSON error body (err %v)", err)
 	}
@@ -156,7 +156,7 @@ func TestClusterSweepRejectsRepeatedAndUnknownNames(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var eb errorBody
+		var eb runner.ErrorBody
 		derr := json.NewDecoder(resp.Body).Decode(&eb)
 		_ = resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
@@ -168,6 +168,46 @@ func TestClusterSweepRejectsRepeatedAndUnknownNames(t *testing.T) {
 	}
 	if n := executedTotal(tc); n != 0 {
 		t.Fatalf("rejected sweeps executed %d simulations", n)
+	}
+}
+
+// padPast returns body followed by spaces up to limit+1 bytes: the same
+// JSON value, one byte over the cap.
+func padPast(body []byte, limit int) []byte {
+	return append(bytes.Clone(body), bytes.Repeat([]byte(" "), max(0, limit+1-len(body)))...)
+}
+
+// TestClusterBodyCaps: a cluster node answers a POST /v1/sweep body
+// over runner.MaxRequestBody and a POST /v1/cluster/shard body over
+// maxShardBody with 400 and a JSON error, and runs nothing, though each
+// is a valid request padded with spaces.
+func TestClusterBodyCaps(t *testing.T) {
+	tc := newTestCluster(t, 1, nil)
+	cfg, _ := testResolver()("nol2-catch")
+	shard, err := json.Marshal(shardRequest{Jobs: []runner.Job{runner.STJob(cfg, "mcf", 2_000, 500)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		path string
+		body []byte
+	}{
+		{"/v1/sweep", padPast(testSweepBody(), runner.MaxRequestBody)},
+		{"/v1/cluster/shard", padPast(shard, maxShardBody)},
+	} {
+		resp, err := http.Post(tc.urls[0]+c.path, "application/json", bytes.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb runner.ErrorBody
+		derr := json.NewDecoder(resp.Body).Decode(&eb)
+		_ = resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || derr != nil || eb.Error == "" {
+			t.Fatalf("%s, %d bytes: %s, error %q (%v); want 400 with a JSON error", c.path, len(c.body), resp.Status, eb.Error, derr)
+		}
+	}
+	if n := executedTotal(tc); n != 0 {
+		t.Fatalf("over-cap bodies executed %d simulations", n)
 	}
 }
 
@@ -183,7 +223,7 @@ func TestShardRejectsForeignConfig(t *testing.T) {
 	changed, unknown := cfg, cfg
 	changed.LLCLat++
 	unknown.Name = "nosuch"
-	post := func(c config.SystemConfig) (int, errorBody) {
+	post := func(c config.SystemConfig) (int, runner.ErrorBody) {
 		t.Helper()
 		body, err := json.Marshal(shardRequest{Jobs: []runner.Job{runner.STJob(c, "mcf", 2_000, 500)}})
 		if err != nil {
@@ -194,7 +234,7 @@ func TestShardRejectsForeignConfig(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var eb errorBody
+		var eb runner.ErrorBody
 		_ = json.NewDecoder(resp.Body).Decode(&eb) // a 200 carries results, not an error
 		return resp.StatusCode, eb
 	}

@@ -9,6 +9,7 @@ import (
 	"catch/internal/core"
 	"catch/internal/fault"
 	"catch/internal/runner"
+	"catch/internal/stats"
 	"catch/internal/telemetry"
 )
 
@@ -21,21 +22,21 @@ type Options struct {
 	Peers []string
 	// VNodes is the virtual-node count per peer (<=0: DefaultVNodes).
 	VNodes int
-	// Engine executes local jobs (compute tier) and owns the local
-	// cache whose memory and disk layers become the top two tiers.
+	// Engine executes local jobs and owns the local cache whose memory
+	// and disk layers are the read path's first two levels.
 	Engine *runner.Engine
 	// LentDeadline is ignored. It stays only so the benchmark module,
 	// which still sets it, compiles.
 	LentDeadline time.Duration
-	// BreakerThreshold/BreakerCooldown parameterize the per-tier
+	// BreakerThreshold/BreakerCooldown parameterize the per-peer
 	// breakers (non-positive: fault.NewBreaker defaults).
 	BreakerThreshold int
 	BreakerCooldown  int
 	// Replicas is how many cluster members hold each completed result
 	// (<=1: owner only, the historical behavior). Capped at the
 	// cluster size. With R > 1, every OK result fans out to the key's
-	// first R distinct ring successors, the peer tier walks that set
-	// on lookup, and copies a suspect or down member misses reach it
+	// first R distinct ring successors, a lookup's peer level walks
+	// that set, and copies a suspect or down member misses reach it
 	// by reconcile when it returns.
 	Replicas int
 	// ProbeInterval paces the background failure detector; <=0
@@ -47,8 +48,9 @@ type Options struct {
 	RepairInterval time.Duration
 	// Seed drives the probe/repair pacing jitter.
 	Seed uint64
-	// Timeouts bounds each peer-call kind.
-	Timeouts OpTimeouts
+	// PeerTimeout bounds each control-plane peer call (see
+	// ClientOptions.PeerTimeout); 0 means 10s.
+	PeerTimeout time.Duration
 	// Fault injects deterministic peer-call failures (chaos only).
 	Fault *fault.Injector
 	// Metrics, when non-nil, receives the cluster series.
@@ -57,16 +59,18 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// Node is one cluster member: the ring, the tiered read path over the
-// local cache and the replica peers, the failure detector, and the
-// shard executor. It is constructed once per process and shared by the
-// HTTP layer.
+// Node is one cluster member: the ring, the read path over the local
+// cache and the replica peers, the failure detector, and the shard
+// executor. It is constructed once per process and shared by the HTTP
+// layer.
 type Node struct {
 	opts   Options
 	ring   *Ring
 	client *Client
-	tiers  *Tiered
 	health *Health
+
+	// mem, disk and peer count the read path's three levels.
+	mem, disk, peer tierCounters
 
 	mShardsIn     *telemetry.Counter
 	mRerouted     *telemetry.Counter
@@ -109,30 +113,18 @@ func NewNode(o Options) (*Node, error) {
 		ring: ring,
 		client: NewClient(ClientOptions{
 			Fault:            o.Fault,
-			Timeouts:         o.Timeouts,
+			PeerTimeout:      o.PeerTimeout,
 			BreakerThreshold: o.BreakerThreshold,
 			BreakerCooldown:  o.BreakerCooldown,
 			Metrics:          o.Metrics,
 		}),
 		health: newHealth(o.Self, ring.Members()),
 	}
-	cache := o.Engine.Cache()
-	newBreaker := func(name string) *fault.Breaker {
-		// Local tiers ride the cache's own disk breaker; only the peer
-		// tier gets a tier-level breaker here (peer calls already feed
-		// per-peer breakers too, so the tier breaker is the aggregate
-		// "remote fetches are not helping" switch).
-		if name != "peer" {
-			return nil
-		}
-		return fault.NewBreaker(o.BreakerThreshold, o.BreakerCooldown)
-	}
-	n.tiers = NewTiered([]Tier{
-		memTier{c: cache},
-		diskTier{c: cache},
-		&peerTier{node: n},
-	}, newBreaker, o.Metrics)
+	n.mem.name, n.disk.name, n.peer.name = "mem", "disk", "peer"
 	if r := o.Metrics; r != nil {
+		for _, t := range []*tierCounters{&n.mem, &n.disk, &n.peer} {
+			registerTierMetrics(r, t)
+		}
 		n.mShardsIn = r.Counter("catch_cluster_shards_total", "Shard requests served for sweep coordinators.")
 		n.mRerouted = r.Counter("catch_cluster_reroutes_total", "Shards rerouted after a peer failure (ring exclusion).")
 		n.mProbes = r.Counter("catch_cluster_probes_total", "Health probes sent to peers.")
@@ -166,9 +158,6 @@ func (n *Node) Ring() *Ring { return n.ring }
 
 // Self returns this node's advertised URL.
 func (n *Node) Self() string { return n.opts.Self }
-
-// Tiers exposes the tiered read path.
-func (n *Node) Tiers() *Tiered { return n.tiers }
 
 // Health exposes the failure detector's membership view.
 func (n *Node) Health() *Health { return n.health }
@@ -207,40 +196,118 @@ func (n *Node) unreplicated() int {
 	return count
 }
 
-// peerTier is the third cache level: fetch the result from the key's
-// replica set, primary owner first, then each successor. Down peers
-// are excluded before the walk; a key whose whole remote replica set
-// misses (or is this node) is a structural miss.
-type peerTier struct{ node *Node }
-
-func (p *peerTier) Name() string              { return "peer" }
-func (p *peerTier) Local() bool               { return false }
-func (p *peerTier) Put(string, []core.Result) {}
-
-func (p *peerTier) Get(ctx context.Context, key string) ([]core.Result, error) {
-	n := p.node
-	var lastErr error
-	for _, owner := range n.ring.Owners(key, n.opts.Replicas, n.health.Down()) {
-		if owner == n.opts.Self {
-			continue // local tiers already missed; no better copy here
-		}
-		rs, found, err := n.client.FetchResult(ctx, owner, key)
-		if err != nil {
-			lastErr = err // a dead primary must not mask a live replica
-			continue
-		}
-		if found {
-			return rs, nil
-		}
-	}
-	return nil, lastErr
+// TierStats snapshots one read-path level's counters.
+type TierStats struct {
+	Tier       string `json:"tier"`
+	Hits       uint64 `json:"hits"`
+	Misses     uint64 `json:"misses"`
+	Errors     uint64 `json:"errors"`
+	Promotions uint64 `json:"promotions"` // entries promoted INTO this level
 }
 
-// Lookup resolves key through the tiered read path without computing:
-// local memory, local disk, then (unless localOnly) the owner peer.
-// The serving tier's name is returned for observability.
+// tierCounters counts one level's lookups by outcome, and the hits
+// from below promoted into it.
+type tierCounters struct {
+	name                             string
+	hits, misses, errors, promotions stats.AtomicCounter
+}
+
+// registerTierMetrics surfaces one level's counters as baked-label
+// series, read at exposition time.
+func registerTierMetrics(reg *telemetry.Registry, t *tierCounters) {
+	read := func(c *stats.AtomicCounter) func() float64 {
+		return func() float64 { return float64(c.Value()) }
+	}
+	reg.CounterFunc(fmt.Sprintf("catch_cluster_tier_requests_total{tier=%q,kind=\"hit\"}", t.name),
+		"Tiered result-cache lookups by tier and outcome.", read(&t.hits))
+	reg.CounterFunc(fmt.Sprintf("catch_cluster_tier_requests_total{tier=%q,kind=\"miss\"}", t.name),
+		"Tiered result-cache lookups by tier and outcome.", read(&t.misses))
+	reg.CounterFunc(fmt.Sprintf("catch_cluster_tier_requests_total{tier=%q,kind=\"error\"}", t.name),
+		"Tiered result-cache lookups by tier and outcome.", read(&t.errors))
+	reg.CounterFunc(fmt.Sprintf("catch_cluster_tier_promotions_total{tier=%q}", t.name),
+		"Entries promoted into this tier from a lower-tier hit.", read(&t.promotions))
+}
+
+// TierStats snapshots the read path's counters in lookup order.
+func (n *Node) TierStats() []TierStats {
+	out := make([]TierStats, 0, 3)
+	for _, t := range []*tierCounters{&n.mem, &n.disk, &n.peer} {
+		out = append(out, TierStats{
+			Tier:       t.name,
+			Hits:       t.hits.Value(),
+			Misses:     t.misses.Value(),
+			Errors:     t.errors.Value(),
+			Promotions: t.promotions.Value(),
+		})
+	}
+	return out
+}
+
+// Lookup resolves key without computing: local memory, then local disk
+// (a hit is promoted into memory), then, unless localOnly, the key's
+// replica peers (a hit is cached in both local levels). It returns the
+// name of the level that served the key. Cluster-internal fetches pass
+// localOnly, so two peers can never chase each other's caches in a
+// cycle.
 func (n *Node) Lookup(ctx context.Context, key string, localOnly bool) ([]core.Result, string, bool) {
-	return n.tiers.Get(ctx, key, localOnly)
+	cache := n.opts.Engine.Cache()
+	if rs, ok := cache.GetMem(key); ok {
+		n.mem.hits.Inc()
+		return rs, n.mem.name, true
+	}
+	n.mem.misses.Inc()
+	if rs, ok := cache.GetDisk(key); ok {
+		n.disk.hits.Inc()
+		cache.PutMem(key, rs)
+		n.mem.promotions.Inc()
+		return rs, n.disk.name, true
+	}
+	n.disk.misses.Inc()
+	if localOnly {
+		return nil, "", false
+	}
+	rs, err := n.fetchReplica(ctx, key)
+	switch {
+	case err != nil:
+		n.peer.errors.Inc()
+	case rs == nil:
+		n.peer.misses.Inc()
+	default:
+		n.peer.hits.Inc()
+		cache.Put(key, rs)
+		n.mem.promotions.Inc()
+		n.disk.promotions.Inc()
+		return rs, n.peer.name, true
+	}
+	return nil, "", false
+}
+
+// fetchReplica asks the key's replica set for a copy, primary first.
+// Down peers and this node (whose local levels already missed) are
+// left out. A failing peer never masks a live replica behind it, and
+// one clean miss makes the walk a miss: it is an error only when every
+// peer asked failed.
+func (n *Node) fetchReplica(ctx context.Context, key string) ([]core.Result, error) {
+	var lastErr error
+	answered := false
+	for _, owner := range n.ring.Owners(key, n.opts.Replicas, n.health.Down()) {
+		if owner == n.opts.Self {
+			continue
+		}
+		rs, found, err := n.client.FetchResult(ctx, owner, key)
+		switch {
+		case found:
+			return rs, nil
+		case err != nil:
+			lastErr = err
+		default:
+			answered = true
+		}
+	}
+	if answered {
+		return nil, nil
+	}
+	return nil, lastErr
 }
 
 // ExecuteShard runs one shard of a sweep through the engine's worker

@@ -23,66 +23,13 @@ import (
 // never fetch from each other in a cycle.
 const localOnlyHeader = "X-Catch-Cluster-Local"
 
-// OpTimeouts bounds each peer-call kind with its own deadline. The
-// control-plane calls (fetch, fill, manifest) are small JSON exchanges
-// that deserve tight deadlines; a shard dispatch runs whole
-// simulations on the peer and must never be cut by a client-side
-// default — only the sweep's own context bounds it. A zero field means
-// "no client-imposed deadline beyond the caller's context".
-type OpTimeouts struct {
-	Fetch    time.Duration
-	Fill     time.Duration
-	Manifest time.Duration
-	Probe    time.Duration
-	Shard    time.Duration
-}
-
-// DefaultOpTimeouts returns the per-op deadlines used when
-// ClientOptions leaves them unset: 10s for control-plane calls, 2s
-// for the health probe (a slow answer is the signal), and no
-// client-side bound on shard dispatch.
-func DefaultOpTimeouts() OpTimeouts {
-	return OpTimeouts{
-		Fetch:    10 * time.Second,
-		Fill:     10 * time.Second,
-		Manifest: 10 * time.Second,
-		Probe:    2 * time.Second,
-		Shard:    0,
-	}
-}
-
-// WithDefault fills every control-plane field from d (the -peer-timeout
-// flag), keeping the probe deadline at min(d, default) so failure
-// detection stays snappy even under a generous control-plane budget.
-func (t OpTimeouts) WithDefault(d time.Duration) OpTimeouts {
-	if d <= 0 {
-		return t
-	}
-	t.Fetch, t.Fill, t.Manifest = d, d, d
-	if probe := DefaultOpTimeouts().Probe; d > probe {
-		t.Probe = probe
-	} else {
-		t.Probe = d
-	}
-	return t
-}
-
-// forOp maps an op name to its deadline.
-func (t OpTimeouts) forOp(op string) time.Duration {
-	switch op {
-	case "fetch":
-		return t.Fetch
-	case "fill":
-		return t.Fill
-	case "manifest":
-		return t.Manifest
-	case "probe":
-		return t.Probe
-	case "shard":
-		return t.Shard
-	}
-	return 0
-}
+// defaultPeerTimeout bounds a control-plane peer call (fetch, fill,
+// manifest) when no PeerTimeout is set, and probeTimeout caps the
+// health probe, whose slow answer is itself the signal.
+const (
+	defaultPeerTimeout = 10 * time.Second
+	probeTimeout       = 2 * time.Second
+)
 
 // Client is the HTTP client one node uses to talk to its peers. Every
 // peer has its own circuit breaker: a dead peer fails fast after a few
@@ -95,7 +42,7 @@ type Client struct {
 	http     *http.Client
 	thresh   int
 	cooldown int
-	timeouts OpTimeouts
+	timeout  time.Duration
 
 	mu  sync.Mutex
 	inj *fault.Injector
@@ -109,9 +56,11 @@ type Client struct {
 
 // ClientOptions configures a peer client.
 type ClientOptions struct {
-	// Timeouts bounds each call kind; zero fields take
-	// DefaultOpTimeouts (control-plane 10s, probe 2s, shard unbounded).
-	Timeouts OpTimeouts
+	// PeerTimeout bounds each control-plane call (fetch, fill,
+	// manifest); 0 means 10s. The probe gets min(PeerTimeout, 2s), and
+	// a shard dispatch, which runs whole simulations on the peer, only
+	// its caller's context.
+	PeerTimeout time.Duration
 	// Fault injects deterministic peer-call failures (chaos only).
 	Fault *fault.Injector
 	// BreakerThreshold/BreakerCooldown parameterize each peer's
@@ -124,30 +73,19 @@ type ClientOptions struct {
 }
 
 // NewClient builds a peer client. Its transport has no overall
-// timeout: deadlines are per-op via Timeouts, so a long shard dispatch
-// is never cut by a transport-wide budget.
+// timeout: each call kind gets its own deadline (opTimeout), so a long
+// shard dispatch is never cut by a transport-wide budget.
 func NewClient(o ClientOptions) *Client {
-	def := DefaultOpTimeouts()
-	t := o.Timeouts
-	if t.Fetch == 0 {
-		t.Fetch = def.Fetch
-	}
-	if t.Fill == 0 {
-		t.Fill = def.Fill
-	}
-	if t.Manifest == 0 {
-		t.Manifest = def.Manifest
-	}
-	if t.Probe == 0 {
-		t.Probe = def.Probe
-	}
 	c := &Client{
 		http:     &http.Client{},
 		inj:      o.Fault,
 		thresh:   o.BreakerThreshold,
 		cooldown: o.BreakerCooldown,
-		timeouts: t,
+		timeout:  o.PeerTimeout,
 		brs:      make(map[string]*fault.Breaker),
+	}
+	if c.timeout <= 0 {
+		c.timeout = defaultPeerTimeout
 	}
 	if r := o.Metrics; r != nil {
 		c.mFetchSeconds = r.Histogram("catch_cluster_peer_fetch_seconds",
@@ -218,7 +156,7 @@ func (c *Client) do(ctx context.Context, peer, op, site string, useBreaker bool,
 		c.mErrs.Inc()
 		return inj.Err(fault.Peer, faultSite)
 	}
-	if d := c.timeouts.forOp(op); d > 0 {
+	if d := c.opTimeout(op); d > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
@@ -240,6 +178,19 @@ func (c *Client) do(ctx context.Context, peer, op, site string, useBreaker bool,
 	}
 	br.Success()
 	return nil
+}
+
+// opTimeout is the client-side deadline of one call kind: the peer
+// timeout for the control plane, at most probeTimeout for the probe,
+// and none for a shard dispatch (0).
+func (c *Client) opTimeout(op string) time.Duration {
+	switch op {
+	case "shard":
+		return 0
+	case "probe":
+		return min(c.timeout, probeTimeout)
+	}
+	return c.timeout
 }
 
 // get performs a GET and hands the 200 body to decode. A 404 reports
@@ -328,16 +279,6 @@ func (e *PeerStatusError) Shed() bool {
 func IsShed(err error) bool {
 	var pse *PeerStatusError
 	return errors.As(err, &pse) && pse.Shed()
-}
-
-// RetryAfter extracts the shedding peer's requested pause from err
-// (0 when err is not a shed response).
-func RetryAfter(err error) time.Duration {
-	var pse *PeerStatusError
-	if errors.As(err, &pse) && pse.Shed() {
-		return pse.RetryAfter
-	}
-	return 0
 }
 
 // peerStatusError folds a non-200 peer response into a typed error

@@ -41,8 +41,9 @@ func TestPeerShedClassification(t *testing.T) {
 		if !IsShed(err) {
 			t.Fatalf("shed response classified dead: %v", err)
 		}
-		if got := RetryAfter(err); got != 2*time.Second {
-			t.Fatalf("RetryAfter = %v, want 2s", got)
+		var pse *PeerStatusError
+		if !errors.As(err, &pse) || pse.RetryAfter != 2*time.Second {
+			t.Fatalf("shed response %v does not carry a 2s Retry-After", err)
 		}
 	}
 	if st := c.BreakerState(shedding); st != fault.StateClosed {
@@ -63,59 +64,41 @@ func TestPeerShedClassification(t *testing.T) {
 		t.Fatalf("Probe against a shedding peer = %v, want nil (alive)", err)
 	}
 	// Non-errors are not shed; arbitrary errors are not shed.
-	if IsShed(nil) || IsShed(errors.New("boom")) || RetryAfter(errors.New("boom")) != 0 {
-		t.Fatal("IsShed/RetryAfter misclassified a non-shed error")
+	if IsShed(nil) || IsShed(errors.New("boom")) {
+		t.Fatal("IsShed misclassified a non-shed error")
 	}
 }
 
-// TestOpTimeoutsDefaults pins the per-op deadline table and the
-// -peer-timeout plumbing: zero fields take the defaults, WithDefault
-// overrides the control plane but keeps the probe snappy, and shard
-// dispatch is never client-bounded.
+// TestOpTimeoutsDefaults pins each call kind's deadline and the
+// -peer-timeout plumbing: PeerTimeout 0 takes the 10s default, the
+// control plane (fetch, fill, manifest) gets PeerTimeout, the probe
+// min(PeerTimeout, 2s), and shard dispatch is never client-bounded.
 func TestOpTimeoutsDefaults(t *testing.T) {
-	def := DefaultOpTimeouts()
-	if def.Shard != 0 {
-		t.Fatalf("default shard deadline = %v; shard dispatch must be unbounded", def.Shard)
-	}
-	if def.Probe >= def.Fetch {
-		t.Fatalf("probe deadline %v not tighter than control plane %v", def.Probe, def.Fetch)
-	}
-
 	tests := []struct {
-		name      string
-		d         time.Duration
-		wantFetch time.Duration
-		wantProbe time.Duration
+		name        string
+		peerTimeout time.Duration
+		wantControl time.Duration
+		wantProbe   time.Duration
 	}{
-		{"zero keeps zero", 0, 0, 0},
-		{"generous budget caps the probe", 30 * time.Second, 30 * time.Second, def.Probe},
+		{"zero takes the defaults", 0, 10 * time.Second, 2 * time.Second},
+		{"generous budget caps the probe", 30 * time.Second, 30 * time.Second, 2 * time.Second},
 		{"tight budget tightens the probe too", 500 * time.Millisecond, 500 * time.Millisecond, 500 * time.Millisecond},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got := OpTimeouts{}.WithDefault(tt.d)
-			if got.Fetch != tt.wantFetch || got.Fill != tt.wantFetch || got.Manifest != tt.wantFetch {
-				t.Fatalf("WithDefault(%v) control plane = %v/%v/%v, want %v",
-					tt.d, got.Fetch, got.Fill, got.Manifest, tt.wantFetch)
+			c := NewClient(ClientOptions{PeerTimeout: tt.peerTimeout})
+			for _, op := range []string{"fetch", "fill", "manifest"} {
+				if got := c.opTimeout(op); got != tt.wantControl {
+					t.Errorf("PeerTimeout %v: %s deadline = %v, want %v", tt.peerTimeout, op, got, tt.wantControl)
+				}
 			}
-			if got.Probe != tt.wantProbe {
-				t.Fatalf("WithDefault(%v) probe = %v, want %v", tt.d, got.Probe, tt.wantProbe)
+			if got := c.opTimeout("probe"); got != tt.wantProbe {
+				t.Errorf("PeerTimeout %v: probe deadline = %v, want %v", tt.peerTimeout, got, tt.wantProbe)
 			}
-			if got.Shard != 0 {
-				t.Fatalf("WithDefault(%v) bounded shard dispatch to %v", tt.d, got.Shard)
+			if got := c.opTimeout("shard"); got != 0 {
+				t.Errorf("PeerTimeout %v bounded shard dispatch to %v", tt.peerTimeout, got)
 			}
 		})
-	}
-
-	// NewClient fills unset fields from the defaults...
-	c := NewClient(ClientOptions{})
-	if c.timeouts.Fetch != def.Fetch || c.timeouts.Probe != def.Probe {
-		t.Fatalf("NewClient timeouts = %+v, want defaults", c.timeouts)
-	}
-	// ...and honors explicit ones.
-	c = NewClient(ClientOptions{Timeouts: OpTimeouts{Fetch: time.Second}})
-	if c.timeouts.Fetch != time.Second || c.timeouts.Fill != def.Fill {
-		t.Fatalf("NewClient mixed timeouts = %+v", c.timeouts)
 	}
 }
 
@@ -131,7 +114,7 @@ func TestPeerPerOpDeadline(t *testing.T) {
 		case <-r.Context().Done():
 		}
 	}))
-	c := NewClient(ClientOptions{Timeouts: OpTimeouts{Fetch: 50 * time.Millisecond}})
+	c := NewClient(ClientOptions{PeerTimeout: 50 * time.Millisecond})
 	start := time.Now()
 	_, _, err := c.FetchResult(context.Background(), slow, "deadbeefdeadbeef")
 	if err == nil {

@@ -109,13 +109,13 @@ func TestClusterReplicationSurvivesKill(t *testing.T) {
 	}
 }
 
-// TestClusterHintedHandoffDrain walks the full outage lifecycle: the
+// TestClusterReconcileOnReturn walks the full outage lifecycle: the
 // prober condemns a killed peer (live → suspect → down), sweeps route
 // around it from the first dispatch, replica fills skip it, every
 // survivor reports exactly the cached keys owed to it as unreplicated,
 // and its return (down → live) reconciles it — restoring full
 // replication without the peer recomputing anything.
-func TestClusterHintedHandoffDrain(t *testing.T) {
+func TestClusterReconcileOnReturn(t *testing.T) {
 	ref := singleNodeFlatten(t)
 	tc := newTestCluster(t, 3, func(i int, o *Options) { o.Replicas = 2 })
 	ctx := context.Background()

@@ -99,10 +99,6 @@ type manifestDoc struct {
 	Keys []string `json:"keys"`
 }
 
-type errorBody struct {
-	Error string `json:"error"`
-}
-
 // Handler builds the route table. The cluster routes shadow the inner
 // handler's; unmatched requests delegate.
 func (s *Server) Handler() http.Handler {
@@ -122,13 +118,13 @@ func (s *Server) Handler() http.Handler {
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	n := s.Node
-	writeJSON(w, http.StatusOK, StatusDoc{
+	runner.WriteJSON(w, http.StatusOK, StatusDoc{
 		Self:          n.Self(),
 		Members:       n.Ring().Members(),
 		VNodes:        n.Ring().VNodes(),
 		Replicas:      n.Replicas(),
 		Version:       s.Version,
-		Tiers:         n.Tiers().Stats(),
+		Tiers:         n.TierStats(),
 		Peers:         n.peerStates(),
 		Health:        n.health.snapshot(),
 		Unreplicated:  n.unreplicated(),
@@ -144,32 +140,32 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // more. The body names the node so a misconfigured peer list shows
 // itself in probes.
 func (s *Server) handlePing(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, pingDoc{Self: s.Node.Self()})
+	runner.WriteJSON(w, http.StatusOK, pingDoc{Self: s.Node.Self()})
 }
 
 // handleManifest lists this node's cached result keys for reconcile.
 func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, manifestDoc{
+	runner.WriteJSON(w, http.StatusOK, manifestDoc{
 		Self: s.Node.Self(),
 		Keys: s.Node.opts.Engine.Cache().Keys(),
 	})
 }
 
 // handleResult is the tiered, HTTP-semantic results endpoint: validate
-// the key shape (400), walk local memory → local disk → owner peer
+// the key shape (400), walk local memory → local disk → replica peers
 // (404 when nowhere), and serve with a strong ETag, Cache-Control and
 // conditional-request handling. Cluster-internal requests restrict the
-// walk to local tiers so peers never chase each other in a cycle.
+// walk to local levels so peers never chase each other in a cycle.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if !runner.ValidKey(key) {
-		writeJSON(w, http.StatusBadRequest, errorBody{"malformed result key (want 16-64 lowercase hex digits): " + key})
+		runner.WriteJSON(w, http.StatusBadRequest, runner.ErrorBody{Error: "malformed result key (want 16-64 lowercase hex digits): " + key})
 		return
 	}
 	localOnly := r.Header.Get(localOnlyHeader) != ""
 	rs, tier, ok := s.Node.Lookup(r.Context(), key, localOnly)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{"no cached result for key " + key})
+		runner.WriteJSON(w, http.StatusNotFound, runner.ErrorBody{Error: "no cached result for key " + key})
 		return
 	}
 	w.Header().Set("X-Catch-Tier", tier)
@@ -178,26 +174,33 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 
 // handleShard executes one sweep shard on the local engine.
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
-	jobs, err := decodeShard(r.Body, s.Resolve)
+	jobs, err := decodeShard(w, r.Body, s.Resolve)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{err.Error()})
+		runner.WriteJSON(w, http.StatusBadRequest, runner.ErrorBody{Error: err.Error()})
 		return
 	}
 	s.Node.mShardsIn.Inc()
 	out := s.Node.ExecuteShard(r.Context(), jobs)
-	writeJSON(w, http.StatusOK, shardResponse{Jobs: out})
+	runner.WriteJSON(w, http.StatusOK, shardResponse{Jobs: out})
 }
 
+// maxShardBody caps a POST /v1/cluster/shard body. A shard holds some
+// of one sweep's jobs, and a sweep at most every registered config
+// times every workload: 770 jobs, under 850 KB as JSON even at the
+// widest budgets (TestLargestBodiesFitCaps). The cap leaves room for
+// the registry to double.
+const maxShardBody = 2 << 20
+
 // decodeShard reads a POST /v1/cluster/shard body and checks every job
-// before anything runs: there is at least one, each passes Validate,
-// and each carries exactly the config its name resolves to. A shard is
-// the one body that carries a whole SystemConfig, and a foreign one
-// could ask NewSystem for arrays of any size. It returns no jobs with
-// an error.
-func decodeShard(body io.Reader, resolve runner.ConfigResolver) ([]runner.Job, error) {
+// before anything runs: the body fits maxShardBody, there is at least
+// one job, each passes Validate, and each carries exactly the config
+// its name resolves to. A shard is the one body that carries a whole
+// SystemConfig, and a foreign one could ask NewSystem for arrays of
+// any size. It returns no jobs with an error.
+func decodeShard(w http.ResponseWriter, body io.ReadCloser, resolve runner.ConfigResolver) ([]runner.Job, error) {
 	var req shardRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		return nil, fmt.Errorf("bad request body: %v", err)
+	if err := runner.DecodeBody(w, body, maxShardBody, &req); err != nil {
+		return nil, err
 	}
 	if len(req.Jobs) == 0 {
 		return nil, errors.New("shard needs at least one job")
@@ -314,23 +317,23 @@ func (s *Server) handleFill(w http.ResponseWriter, r *http.Request) {
 		err = s.Node.HandleFill(req.Key, req.Results)
 	}
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{err.Error()})
+		runner.WriteJSON(w, http.StatusBadRequest, runner.ErrorBody{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"ok": true})
+	runner.WriteJSON(w, http.StatusOK, map[string]any{"ok": true})
 }
 
 // handleSweep is the cluster-aware sweep: the grid expands exactly as
 // on a single node, then jobs shard across the ring by owner.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req runner.SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{"bad request body: " + err.Error()})
+	if err := runner.DecodeBody(w, r.Body, runner.MaxRequestBody, &req); err != nil {
+		runner.WriteJSON(w, http.StatusBadRequest, runner.ErrorBody{Error: err.Error()})
 		return
 	}
 	jobs, err := req.Jobs(s.Resolve)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{err.Error()})
+		runner.WriteJSON(w, http.StatusBadRequest, runner.ErrorBody{Error: err.Error()})
 		return
 	}
 	//catchlint:ignore determinism sweep wall-clock is response metadata, never simulation output
@@ -342,7 +345,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			canceled++
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	runner.WriteJSON(w, http.StatusOK, map[string]any{
 		"jobs":     out,
 		"canceled": canceled,
 		//catchlint:ignore determinism sweep wall-clock is response metadata, never simulation output
@@ -351,16 +354,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			"self":    s.Node.Self(),
 			"members": s.Node.Ring().Members(),
 		},
-		"tiers": s.Node.Tiers().Stats(),
+		"tiers": s.Node.TierStats(),
 	})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	// The status line is already written; an encode failure means the
-	// client went away and there is no channel left to report on.
-	_ = enc.Encode(v)
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"reflect"
 	"testing"
 
@@ -13,11 +14,13 @@ import (
 // FuzzShardRequest feeds arbitrary bytes to decodeShard, the POST
 // /v1/cluster/shard body decoder and the checks handleShard makes
 // before it runs anything; it runs no simulation. It must never panic;
-// an accepted body must hold at least one job, each passing Validate
-// and carrying the registered config of its name; a rejected body must
-// yield no jobs, so the handler runs nothing. Seeds are a valid shard,
-// an empty one, and shards whose config asks for a 1 TB LLC, has a
-// changed LLCLat, or has a name no registry knows.
+// an accepted body must fit maxShardBody and hold at least one job,
+// each passing Validate and carrying the registered config of its
+// name, and the same body padded with spaces past maxShardBody must be
+// rejected; a rejected body must yield no jobs, so the handler runs
+// nothing. Seeds are a valid shard, an empty one, and shards whose
+// config asks for a 1 TB LLC, has a changed LLCLat, or has a name no
+// registry knows.
 func FuzzShardRequest(f *testing.F) {
 	resolve := testResolver()
 	cfg, _ := resolve("nol2-catch")
@@ -33,13 +36,22 @@ func FuzzShardRequest(f *testing.F) {
 		f.Add(body)
 	}
 	f.Add([]byte(`{"jobs":[]}`))
+	decode := func(body []byte) ([]runner.Job, error) {
+		return decodeShard(nil, io.NopCloser(bytes.NewReader(body)), resolve)
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		jobs, err := decodeShard(bytes.NewReader(body), resolve)
+		jobs, err := decode(body)
 		if err != nil {
 			if jobs != nil {
 				t.Fatalf("%.120q: rejected (%v) but yielded %d jobs", body, err, len(jobs))
 			}
 			return
+		}
+		if len(body) > maxShardBody {
+			t.Fatalf("accepted a %d-byte body, over the %d-byte cap", len(body), maxShardBody)
+		}
+		if jobs, err := decode(padPast(body, maxShardBody)); err == nil || jobs != nil {
+			t.Fatalf("%.120q padded past the cap: accepted %d jobs", body, len(jobs))
 		}
 		if len(jobs) == 0 {
 			t.Fatalf("%.120q: accepted with no jobs", body)

@@ -77,5 +77,5 @@ func ServeResult(w http.ResponseWriter, r *http.Request, key string, v any, maxA
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	writeJSON(w, http.StatusOK, v)
+	WriteJSON(w, http.StatusOK, v)
 }

@@ -2,18 +2,19 @@ package runner
 
 import (
 	"bytes"
-	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 )
 
 // FuzzRunRequest feeds arbitrary bytes to the POST /v1/run body
 // decoder and the request-to-job conversion, exactly as handleRun runs
-// them. It must never panic, and an accepted job must pass Validate,
-// run between 1 and its config's ring stops workloads, and carry
-// positive Insts and non-negative Warmup. Seeds are a 1,000-name body
-// (far wider than any ring), a body setting both workload and
-// workloads, and an unknown config.
+// them. It must never panic. An accepted body must fit MaxRequestBody,
+// and padded with spaces past it must be rejected. An accepted job
+// must pass Validate, run between 1 and its config's ring stops
+// workloads, and carry positive Insts and non-negative Warmup. Seeds
+// are a 1,000-name body (far wider than any ring), a body setting both
+// workload and workloads, and an unknown config.
 func FuzzRunRequest(f *testing.F) {
 	wide := `{"config":"catch","workloads":[` + strings.Repeat(`"mcf",`, 999) + `"mcf"],"insts":1,"warmup":-1}`
 	for _, body := range []string{
@@ -26,8 +27,14 @@ func FuzzRunRequest(f *testing.F) {
 	s := &Server{Resolve: testResolve}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req RunRequest
-		if json.NewDecoder(bytes.NewReader(body)).Decode(&req) != nil {
+		if DecodeBody(nil, io.NopCloser(bytes.NewReader(body)), MaxRequestBody, &req) != nil {
 			return
+		}
+		if len(body) > MaxRequestBody {
+			t.Fatalf("accepted a %d-byte body, over the %d-byte cap", len(body), MaxRequestBody)
+		}
+		if DecodeBody(nil, io.NopCloser(bytes.NewReader(padPast(body, MaxRequestBody))), MaxRequestBody, &RunRequest{}) == nil {
+			t.Fatalf("%.120q padded past the cap was accepted", body)
 		}
 		job, err := s.jobFrom(&req)
 		if err != nil {

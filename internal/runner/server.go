@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -136,8 +137,31 @@ func (req *SweepRequest) Jobs(resolve ConfigResolver) ([]Job, error) {
 	return grid.Jobs(), nil
 }
 
-type errorBody struct {
+// ErrorBody is the JSON body of every catchd error response.
+type ErrorBody struct {
 	Error string `json:"error"`
+}
+
+// MaxRequestBody caps a POST /v1/run or /v1/sweep body. The largest
+// legitimate one is a sweep that names every registered config and
+// every workload once: about 900 bytes compact and under 2 KB indented
+// (TestLargestBodiesFitCaps in internal/cluster, which sees the config
+// registry). A run names one config and at most one workload per ring
+// stop, far less.
+const MaxRequestBody = 16 << 10
+
+// DecodeBody reads a JSON request body into v. A body over limit bytes
+// is refused before any of it is decoded, so a handler that checks the
+// error runs nothing for it.
+func DecodeBody(w http.ResponseWriter, body io.ReadCloser, limit int64, v any) error {
+	raw, err := io.ReadAll(http.MaxBytesReader(w, body, limit))
+	if err == nil {
+		err = json.Unmarshal(raw, v)
+	}
+	if err != nil {
+		return fmt.Errorf("bad request body: %v", err)
+	}
+	return nil
 }
 
 // Handler builds the route table. Call it once per Server: it also
@@ -274,7 +298,7 @@ func (s *Server) limited(h http.HandlerFunc) http.HandlerFunc {
 				s.waiting.Add(-1)
 			}
 			if !acquired {
-				writeJSON(w, http.StatusServiceUnavailable, errorBody{"client gave up waiting for a slot"})
+				WriteJSON(w, http.StatusServiceUnavailable, ErrorBody{"client gave up waiting for a slot"})
 				return
 			}
 		}
@@ -293,7 +317,7 @@ func (s *Server) limited(h http.HandlerFunc) http.HandlerFunc {
 func (s *Server) shed(w http.ResponseWriter, msg string) {
 	s.mShed.Inc()
 	w.Header().Set("Retry-After", "1")
-	writeJSON(w, http.StatusServiceUnavailable, errorBody{msg})
+	WriteJSON(w, http.StatusServiceUnavailable, ErrorBody{msg})
 }
 
 // BeginDrain flips the server into drain mode: new run/sweep requests
@@ -322,7 +346,7 @@ wait:
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"draining": true,
 		"inflight": len(s.sem),
 	})
@@ -330,35 +354,35 @@ wait:
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{"bad request body: " + err.Error()})
+	if err := DecodeBody(w, r.Body, MaxRequestBody, &req); err != nil {
+		WriteJSON(w, http.StatusBadRequest, ErrorBody{err.Error()})
 		return
 	}
 	job, err := s.jobFrom(&req)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{err.Error()})
+		WriteJSON(w, http.StatusBadRequest, ErrorBody{err.Error()})
 		return
 	}
 	rs := s.Engine.Run(r.Context(), []Job{job})
 	switch {
 	case rs[0].Status == StatusCanceled:
-		writeJSON(w, http.StatusGatewayTimeout, rs[0])
+		WriteJSON(w, http.StatusGatewayTimeout, rs[0])
 	case rs[0].Err != "":
-		writeJSON(w, http.StatusInternalServerError, rs[0])
+		WriteJSON(w, http.StatusInternalServerError, rs[0])
 	default:
-		writeJSON(w, http.StatusOK, rs[0])
+		WriteJSON(w, http.StatusOK, rs[0])
 	}
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{"bad request body: " + err.Error()})
+	if err := DecodeBody(w, r.Body, MaxRequestBody, &req); err != nil {
+		WriteJSON(w, http.StatusBadRequest, ErrorBody{err.Error()})
 		return
 	}
 	jobs, err := req.Jobs(s.Resolve)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{err.Error()})
+		WriteJSON(w, http.StatusBadRequest, ErrorBody{err.Error()})
 		return
 	}
 	start := time.Now()
@@ -369,7 +393,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			canceled++
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"jobs":      out,
 		"canceled":  canceled,
 		"elapsedMs": time.Since(start).Milliseconds(),
@@ -383,12 +407,12 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	// malformed key is the client's error (400), not a lookup miss and
 	// never a server fault.
 	if !ValidKey(key) {
-		writeJSON(w, http.StatusBadRequest, errorBody{"malformed result key (want 16-64 lowercase hex digits): " + key})
+		WriteJSON(w, http.StatusBadRequest, ErrorBody{"malformed result key (want 16-64 lowercase hex digits): " + key})
 		return
 	}
 	cache := s.Engine.Cache()
 	if cache == nil {
-		writeJSON(w, http.StatusNotFound, errorBody{"server runs without a result cache"})
+		WriteJSON(w, http.StatusNotFound, ErrorBody{"server runs without a result cache"})
 		return
 	}
 	// Get never returns an empty entry (a quarantine racing this read
@@ -396,7 +420,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	// is consistently 404.
 	rs, ok := cache.Get(key)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{"no cached result for key " + key})
+		WriteJSON(w, http.StatusNotFound, ErrorBody{"no cached result for key " + key})
 		return
 	}
 	ServeResult(w, r, key, map[string]any{"key": key, "results": rs}, s.ResultMaxAge)
@@ -432,7 +456,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.ClusterInfo != nil {
 		body["cluster"] = s.ClusterInfo()
 	}
-	writeJSON(w, http.StatusOK, body)
+	WriteJSON(w, http.StatusOK, body)
 }
 
 func (s *Server) cacheStats() any {
@@ -479,12 +503,12 @@ func defWarmup(n int64) int64 {
 	return n
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as a compact JSON response with the given status.
+// Every catchd response body goes through it, the cluster's included.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
 	// The status line is already written; an encode failure here means
 	// the client went away and there is no channel left to report on.
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }

@@ -105,8 +105,12 @@ func TestDrainEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("post-drain run = %d, want 503", resp.StatusCode)
 	}
-	if _, raw := getURL(t, ts.URL+"/healthz"); !strings.Contains(string(raw), `"draining": true`) {
-		t.Fatalf("healthz does not report draining:\n%s", raw)
+	_, raw = getURL(t, ts.URL+"/healthz")
+	var health struct {
+		Draining bool `json:"draining"`
+	}
+	if err := json.Unmarshal(raw, &health); err != nil || !health.Draining {
+		t.Fatalf("healthz does not report draining (%v):\n%s", err, raw)
 	}
 	if _, raw := getURL(t, ts.URL+"/metrics"); !strings.Contains(string(raw), "catch_http_draining 1") {
 		t.Fatalf("metrics do not report draining:\n%s", raw)

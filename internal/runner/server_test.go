@@ -54,6 +54,12 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	return resp, out
 }
 
+// padPast returns body followed by spaces up to limit+1 bytes: the same
+// JSON value, one byte over the cap.
+func padPast(body []byte, limit int) []byte {
+	return append(bytes.Clone(body), bytes.Repeat([]byte(" "), max(0, limit+1-len(body)))...)
+}
+
 func TestHealthz(t *testing.T) {
 	ts := newTestServer(New(Options{Workers: 2, Cache: NewCache("")}))
 	defer ts.Close()
@@ -182,7 +188,7 @@ func TestRunEndpointRejectsMoreWorkloadsThanRingStops(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("%d workloads: status %d (%s), want 400", len(names), resp.StatusCode, raw)
 	}
-	var eb errorBody
+	var eb ErrorBody
 	if err := json.Unmarshal(raw, &eb); err != nil || eb.Error == "" {
 		t.Fatalf("body %s is not a JSON error (%v)", raw, err)
 	}
@@ -354,13 +360,57 @@ func TestSweepRejectsRepeatedAndUnknownNames(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400 (%s)", body, resp.StatusCode, raw)
 		}
-		var eb errorBody
+		var eb ErrorBody
 		if err := json.Unmarshal(raw, &eb); err != nil || eb.Error == "" {
 			t.Fatalf("%s: want a JSON error body, got %s", body, raw)
 		}
 	}
 	if n := e.Executed(); n != 0 {
 		t.Fatalf("rejected sweeps executed %d simulations", n)
+	}
+}
+
+// TestRequestBodyCap: a /v1/run or /v1/sweep body one byte over
+// MaxRequestBody is a 400 with a JSON error and runs nothing, though it
+// is a valid request padded with spaces; the same request padded to
+// exactly the cap is served.
+func TestRequestBodyCap(t *testing.T) {
+	e := New(Options{Workers: 1, Cache: NewCache("")})
+	e.simulate = func(j *Job) ([]core.Result, error) {
+		return []core.Result{{Workload: j.Workloads[0], IPC: 1}}, nil
+	}
+	ts := newTestServer(e)
+	defer ts.Close()
+	post := func(path string, body []byte) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, raw
+	}
+	for _, c := range []struct{ path, body string }{
+		{"/v1/run", `{"config":"catch","workload":"mcf","insts":5000,"warmup":1000}`},
+		{"/v1/sweep", `{"configs":["catch"],"workloads":["hmmer"],"insts":5000,"warmup":1000}`},
+	} {
+		executed := e.Executed()
+		over := padPast([]byte(c.body), MaxRequestBody)
+		status, raw := post(c.path, over)
+		var eb ErrorBody
+		if status != http.StatusBadRequest || json.Unmarshal(raw, &eb) != nil || eb.Error == "" {
+			t.Fatalf("%s, %d bytes: status %d (%.200s), want 400 with a JSON error", c.path, len(over), status, raw)
+		}
+		if n := e.Executed(); n != executed {
+			t.Fatalf("%s: an over-cap body executed %d jobs", c.path, n-executed)
+		}
+		if status, raw := post(c.path, over[:MaxRequestBody]); status != http.StatusOK {
+			t.Fatalf("%s, %d bytes: status %d (%.200s), want 200", c.path, MaxRequestBody, status, raw)
+		}
 	}
 }
 

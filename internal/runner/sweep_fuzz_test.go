@@ -2,7 +2,7 @@ package runner
 
 import (
 	"bytes"
-	"encoding/json"
+	"io"
 	"testing"
 
 	"catch/internal/workloads"
@@ -10,10 +10,11 @@ import (
 
 // FuzzSweepRequest feeds arbitrary bytes to the POST /v1/sweep body
 // decoder and the sweep expansion, exactly as both servers run them. It
-// must never panic; an accepted request must expand to at most (names
-// testResolve knows) × len(workloads.All()) jobs, so the grid is
-// bounded by the registries and not by the body size; and every job it
-// yields must pass Validate. Seeds are a valid sweep, a defaulted one
+// must never panic; an accepted body must fit MaxRequestBody, and
+// padded with spaces past it must be rejected; an accepted request must
+// expand to at most (names testResolve knows) × len(workloads.All())
+// jobs, so the grid is bounded by the registries and not by the body
+// size; and every job it yields must pass Validate. Seeds are a valid sweep, a defaulted one
 // with a field the decoder ignores, and the repeated-config and
 // unknown-workload bodies the servers reject.
 func FuzzSweepRequest(f *testing.F) {
@@ -29,8 +30,14 @@ func FuzzSweepRequest(f *testing.F) {
 	maxJobs := known * len(workloads.All())
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req SweepRequest
-		if json.NewDecoder(bytes.NewReader(body)).Decode(&req) != nil {
+		if DecodeBody(nil, io.NopCloser(bytes.NewReader(body)), MaxRequestBody, &req) != nil {
 			return
+		}
+		if len(body) > MaxRequestBody {
+			t.Fatalf("accepted a %d-byte body, over the %d-byte cap", len(body), MaxRequestBody)
+		}
+		if DecodeBody(nil, io.NopCloser(bytes.NewReader(padPast(body, MaxRequestBody))), MaxRequestBody, &SweepRequest{}) == nil {
+			t.Fatalf("%q padded past the cap was accepted", body)
 		}
 		jobs, err := req.Jobs(testResolve)
 		if err != nil {
