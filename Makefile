@@ -55,26 +55,28 @@ partition-smoke:
 # POST /v1/cluster/shard body, the job key's one-pass encoder against
 # its reference, a disk cache entry read by Cache.GetDisk and checked
 # against encoding/json, ValidKey against its regular expression, and
-# the peer responses to GET /v1/results/{key} and GET
-# /v1/cluster/manifest. Go fuzzes one target per invocation, hence one
-# line per target. A run body's seed names 1,000 workloads (6 KB), a
-# shard body carries a whole config (about 1 KB), a cache entry a whole
-# result list (about 2 KB) written to a fresh directory per input, and
-# a peer response a whole document; minimizing each new input that
-# large under the default budget would take most of the run, so those
-# five targets cap it at 100 execs.
+# the peer replies to GET /v1/results/{key}, GET /v1/cluster/manifest
+# and POST /v1/cluster/shard; every body one node takes from another
+# is checked against encoding/json too. Go fuzzes one target per
+# invocation, hence one line per target. A run body's seed names 1,000
+# workloads (6 KB), a shard body carries a whole config (about 1 KB), a
+# cache entry a whole result list (about 2 KB) written to a fresh
+# directory per input, and a fill or peer reply a whole document;
+# minimizing each new input that large under the default budget would
+# take most of the run, so those seven targets cap it at 100 execs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRunRequest$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/runner
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 10s ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/perf
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepRequest$$' -fuzztime 10s ./internal/runner
-	$(GO) test -run '^$$' -fuzz '^FuzzFillRequest$$' -fuzztime 10s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzFillRequest$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzShardRequest$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzJobKey$$' -fuzztime 10s ./internal/runner
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheEntry$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/runner
 	$(GO) test -run '^$$' -fuzz '^FuzzValidKey$$' -fuzztime 10s ./internal/runner
 	$(GO) test -run '^$$' -fuzz '^FuzzPeerResult$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzPeerManifest$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzShardReply$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/cluster
 
 # sample-smoke proves representative-interval sampling stays honest:
 # the fig13 grid run through a sampling engine must reproduce every

@@ -2,31 +2,53 @@ package cluster
 
 import (
 	"bytes"
-	"io"
+	"encoding/json"
 	"slices"
 	"strings"
 	"testing"
 
+	"catch/internal/config"
+	"catch/internal/core"
 	"catch/internal/runner"
 )
 
 // FuzzFillRequest feeds arbitrary bytes to decodeFill, the POST
 // /v1/cluster/fill body decoder, and HandleFill, exactly as handleFill
-// runs them, on a one-node Node. It must never panic; an accepted body
-// must fit maxFillBody and carry a runner.ValidKey key and 1 to
-// maxFillResults results, and that key must then be cached; a rejected
-// body must leave the cache's key list unchanged.
-// Seeds are a valid fill, the same fill with the "replica" field older
-// nodes sent, a malformed key, an empty result list and one result too
+// runs them, on a one-node Node. It must never panic or allocate past
+// peerAllocBound; an accepted body must fit maxFillBody, decode with
+// json.Unmarshal to the same document and carry a runner.ValidKey key
+// and 1 to maxFillResults results, and that key must then be cached; a
+// rejected body must leave the cache's key list unchanged. Seeds are a
+// fill as Client.ReplicaFill writes it, the same fill with the
+// "replica" field older nodes sent, with a result field missing, with
+// a malformed key and with an empty result list, and one result too
 // many.
 func FuzzFillRequest(f *testing.F) {
 	key := fillKey(0)
+	job := runner.STJob(config.BaselineExclusive(), "mcf", 2_000, 500)
+	rs, err := job.Execute()
+	if err != nil {
+		f.Fatal(err)
+	}
+	fill := func(key string, rs []core.Result) string {
+		raw, err := json.Marshal(runner.ResultsDoc{Key: key, Results: rs})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return string(raw)
+	}
+	real := fill(key, rs)
+	var tooMany []core.Result
+	for len(tooMany) <= maxFillResults {
+		tooMany = append(tooMany, rs...)
+	}
 	for _, body := range []string{
-		`{"key":"` + key + `","results":[{"Workload":"mcf","IPC":1}]}`,
-		`{"key":"` + key + `","results":[{"Workload":"mcf","IPC":1}],"replica":true}`,
-		`{"key":"not hex!","results":[{"Workload":"mcf","IPC":1}]}`,
-		`{"key":"` + key + `","results":[]}`,
-		`{"key":"` + key + `","results":[{}` + strings.Repeat(`,{}`, maxFillResults) + `]}`,
+		real,
+		strings.TrimSuffix(real, "}") + `,"replica":true}`,
+		withoutField(f, real, "IPC"),
+		fill("not hex!", rs),
+		fill(key, []core.Result{}),
+		fill(key, tooMany),
 	} {
 		f.Add([]byte(body))
 	}
@@ -34,8 +56,13 @@ func FuzzFillRequest(f *testing.F) {
 	cache := n.opts.Engine.Cache()
 	f.Fuzz(func(t *testing.T, body []byte) {
 		before := cache.Keys()
-		req, err := decodeFill(nil, io.NopCloser(bytes.NewReader(body)))
+		var req runner.ResultsDoc
+		var err error
+		if n := allocated(func() { req, err = decodeFill(bytes.NewReader(body)) }); n > peerAllocBound(len(body)) {
+			t.Fatalf("%.120q: decoding %d bytes allocated %d, bound %d", body, len(body), n, peerAllocBound(len(body)))
+		}
 		if err == nil {
+			checkMatchesUnmarshal(t, body, req)
 			err = n.HandleFill(req.Key, req.Results)
 		}
 		if err != nil {

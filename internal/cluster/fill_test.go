@@ -6,7 +6,10 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
@@ -63,10 +66,11 @@ func TestHandleFill(t *testing.T) {
 }
 
 // TestFillNeverFansOut pins that POST /v1/cluster/fill stores and
-// forwards nothing, whether or not the body carries the "replica"
-// field older nodes sent. With 2 replicas on 3 nodes every key's
-// replica set names a member besides the receiver, so a receiver that
-// fanned out would push a copy there.
+// forwards nothing. A fill as Client.ReplicaFill writes it is stored;
+// one carrying the "replica" field older nodes sent is not this
+// build's layout and is refused. With 2 replicas on 3 nodes every
+// key's replica set names a member besides the receiver, so a receiver
+// that fanned out would push a copy there.
 func TestFillNeverFansOut(t *testing.T) {
 	tc := newTestCluster(t, 3, func(_ int, o *Options) { o.Replicas = 2 })
 	recv := tc.nodes[0]
@@ -74,9 +78,12 @@ func TestFillNeverFansOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, tt := range []struct{ name, format string }{
-		{"no replica field", `{"key":%q,"results":%s}`},
-		{"replica false", `{"key":%q,"results":%s,"replica":false}`},
+	for i, tt := range []struct {
+		name, format string
+		status       int
+	}{
+		{"as ReplicaFill writes it", `{"key":%q,"results":%s}`, http.StatusOK},
+		{"replica false", `{"key":%q,"results":%s,"replica":false}`, http.StatusBadRequest},
 	} {
 		key := fillKey(i)
 		body := fmt.Sprintf(tt.format, key, rs)
@@ -85,11 +92,11 @@ func TestFillNeverFansOut(t *testing.T) {
 			t.Fatal(err)
 		}
 		_ = resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: fill got %s", tt.name, resp.Status)
+		if resp.StatusCode != tt.status {
+			t.Fatalf("%s: fill got %s, want %d", tt.name, resp.Status, tt.status)
 		}
-		if _, ok := tc.engines[0].Cache().Get(key); !ok {
-			t.Fatalf("%s: fill did not land in the receiver's cache", tt.name)
+		if _, ok := tc.engines[0].Cache().Get(key); ok != (tt.status == http.StatusOK) {
+			t.Fatalf("%s: in the receiver's cache %v after a %d", tt.name, ok, tt.status)
 		}
 		if got := recv.mReplicaFills.Value(); got != 0 {
 			t.Fatalf("%s: receiver pushed %d replica copies, want 0", tt.name, got)
@@ -176,11 +183,15 @@ func TestFillRejectsTooManyResults(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got > allocBound {
 		t.Fatalf("the fill allocated %d bytes, bound %d", got, allocBound)
 	}
-	if _, err := decodeResultDoc(strings.NewReader(body)); err == nil {
-		t.Fatal("decodeResultDoc accepted the same document")
+	if _, err := readResultsDoc(strings.NewReader(body), key); err == nil {
+		t.Fatal("readResultsDoc accepted the same document")
 	}
 
-	result := `{"Workload":"mcf","IPC":1}`
+	raw, err := json.Marshal(core.Result{Workload: "mcf", IPC: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	result := string(raw)
 	for results, want := range map[int]int{maxFillResults: http.StatusOK, maxFillResults + 1: http.StatusBadRequest} {
 		fill := `{"key":"` + key + `","results":[` + strings.TrimSuffix(strings.Repeat(result+",", results), ",") + `]}`
 		rec := httptest.NewRecorder()
@@ -213,13 +224,15 @@ func TestRegisteredConfigsFitFillBound(t *testing.T) {
 	}
 }
 
-// TestLargestBodiesFitCaps pins the POST body caps to the registries.
-// The largest legitimate sweep names every registered config and every
+// TestLargestBodiesFitCaps pins the body caps to the registries. The
+// largest legitimate sweep names every registered config and every
 // workload once, with the widest budgets; indented, it must fit
 // runner.MaxRequestBody (a run body is smaller still: one config and at
 // most one workload per ring stop). The largest legitimate shard holds
 // that whole sweep's jobs; it must fit maxShardBody twice over, so the
-// registry can double before the cap refuses a real shard.
+// registry can double before the cap refuses a real shard. The widest
+// legitimate job result in a shard reply must fit maxJobResultBody
+// twice over too, and its results maxFillBody: see widestJobResult.
 func TestLargestBodiesFitCaps(t *testing.T) {
 	sweep := runner.SweepRequest{Configs: experiments.ConfigNames(), Insts: math.MaxInt64, Warmup: math.MaxInt64}
 	for _, wl := range workloads.All() {
@@ -243,5 +256,120 @@ func TestLargestBodiesFitCaps(t *testing.T) {
 	if 2*len(shard) > maxShardBody {
 		t.Errorf("full-grid shard of %d jobs is %d bytes; maxShardBody (%d) must hold it twice", len(jobs), len(shard), maxShardBody)
 	}
-	t.Logf("largest sweep %d bytes indented; largest shard %d jobs, %d bytes", len(raw), len(jobs), len(shard))
+	jr := widestJobResult(t)
+	reply, err := json.Marshal(jr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if 2*len(reply) > maxJobResultBody {
+		t.Errorf("widest job result is %d bytes; maxJobResultBody (%d) must hold it twice", len(reply), maxJobResultBody)
+	}
+	doc, err := json.Marshal(runner.ResultsDoc{Key: jr.Key, Results: jr.Results})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc) > maxFillBody {
+		t.Errorf("widest results document is %d bytes, over maxFillBody (%d)", len(doc), maxFillBody)
+	}
+	t.Logf("largest sweep %d bytes indented; largest shard %d jobs, %d bytes; widest job result %d bytes, its results document %d",
+		len(raw), len(jobs), len(shard), len(reply), len(doc))
+}
+
+// widestJobResult builds the longest job result a shard reply can
+// legitimately carry: a job of the registered config with the longest
+// JSON, on maxFillResults cores running the longest workload names,
+// with the widest budgets; maxFillResults results of a real CATCH run,
+// each with every number at its widest JSON, every pointer set and
+// every name the longest registered one; a panic's error; and a panic
+// stack as deep as the runtime prints.
+func widestJobResult(t *testing.T) runner.JobResult {
+	t.Helper()
+	var job runner.Job
+	longest := ""
+	for _, name := range experiments.ConfigNames() {
+		cfg, _ := experiments.ConfigByName(name)
+		a, _ := json.Marshal(cfg)
+		b, _ := json.Marshal(job.Config)
+		if len(a) > len(b) {
+			job.Config = cfg
+		}
+		if len(name) > len(longest) {
+			longest = name
+		}
+	}
+	names := make([]string, 0, len(workloads.All()))
+	for _, wl := range workloads.All() {
+		names = append(names, wl.WName)
+		if len(wl.WName) > len(longest) {
+			longest = wl.WName
+		}
+		if len(wl.WCategory) > len(longest) {
+			longest = wl.WCategory
+		}
+	}
+	slices.SortFunc(names, func(a, b string) int { return len(b) - len(a) })
+	job.Workloads = names[:maxFillResults]
+	job.Insts, job.Warmup = math.MaxInt64, math.MaxInt64
+	job.Sample = &runner.SampleSpec{Interval: math.MaxInt64, K: math.MaxInt}
+
+	real := runner.STJob(config.WithCATCH(config.BaselineExclusive(), "catch"), "mcf", 2_000, 500)
+	rs, err := real.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make([]core.Result, maxFillResults)
+	for i := range results {
+		results[i] = rs[0]
+		widen(reflect.ValueOf(&results[i]).Elem(), longest)
+	}
+	panicked := &runner.PanicError{Value: "runtime error: index out of range [-9223372036854775808]"}
+	return runner.JobResult{
+		Job:     job,
+		Key:     job.Key(),
+		Results: results,
+		Err:     fmt.Sprintf("attempt %d/%d: %v", math.MaxInt, math.MaxInt, panicked),
+		Status:  runner.StatusCanceled,
+		Stack:   string(deepStack(200)),
+		Elapsed: math.MinInt64,
+	}
+}
+
+// widen sets every number under v to its widest JSON, every string to
+// s and every nil pointer to a new value, keeping slice lengths.
+func widen(v reflect.Value, s string) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			widen(v.Field(i), s)
+		}
+	case reflect.Pointer:
+		if v.IsNil() {
+			v.Set(reflect.New(v.Type().Elem()))
+		}
+		widen(v.Elem(), s)
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			widen(v.Index(i), s)
+		}
+	case reflect.String:
+		v.SetString(s)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(-1 << (v.Type().Bits() - 1))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(math.MaxUint64 >> (64 - v.Type().Bits()))
+	case reflect.Float32:
+		v.SetFloat(-math.MaxFloat32)
+	case reflect.Float64:
+		v.SetFloat(-math.MaxFloat64)
+	}
+}
+
+// deepStack returns the stack of a goroutine depth calls deep, as
+// debug.Stack records a job's panic: the runtime prints its innermost
+// and outermost 50 frames.
+func deepStack(depth int) []byte {
+	if depth > 0 {
+		return deepStack(depth - 1)
+	}
+	return debug.Stack()
 }

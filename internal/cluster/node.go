@@ -159,9 +159,6 @@ func (n *Node) Ring() *Ring { return n.ring }
 // Self returns this node's advertised URL.
 func (n *Node) Self() string { return n.opts.Self }
 
-// Health exposes the failure detector's membership view.
-func (n *Node) Health() *Health { return n.health }
-
 // Replicas reports the effective replication factor.
 func (n *Node) Replicas() int { return n.opts.Replicas }
 

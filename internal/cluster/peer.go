@@ -193,9 +193,10 @@ func (c *Client) opTimeout(op string) time.Duration {
 	return c.timeout
 }
 
-// get performs a GET and hands the 200 body to decode. A 404 reports
-// found=false with no error; any other status is an error.
-func (c *Client) get(ctx context.Context, peer, op, site, url string, useBreaker bool, decode func(io.Reader) error) (found bool, err error) {
+// get performs a GET and hands the 200 body to read, or discards it
+// when read is nil. A 404 reports found=false with no error; any other
+// status is an error.
+func (c *Client) get(ctx context.Context, peer, op, site, url string, useBreaker bool, read func(io.Reader) error) (found bool, err error) {
 	err = c.do(ctx, peer, op, site, useBreaker, func(ctx context.Context) error {
 		req, rerr := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 		if rerr != nil {
@@ -210,7 +211,7 @@ func (c *Client) get(ctx context.Context, peer, op, site, url string, useBreaker
 		switch resp.StatusCode {
 		case http.StatusOK:
 			found = true
-			return decode(resp.Body)
+			return readBody(resp.Body, read)
 		case http.StatusNotFound:
 			return nil
 		default:
@@ -220,9 +221,9 @@ func (c *Client) get(ctx context.Context, peer, op, site, url string, useBreaker
 	return found, err
 }
 
-// postJSON performs a POST with a JSON body and decodes the 200
-// response into out (when non-nil).
-func (c *Client) postJSON(ctx context.Context, peer, op, site, url string, in, out any) error {
+// postJSON performs a POST with a JSON body and hands the 200 body to
+// read, or discards it when read is nil.
+func (c *Client) postJSON(ctx context.Context, peer, op, site, url string, in any, read func(io.Reader) error) error {
 	return c.do(ctx, peer, op, site, true, func(ctx context.Context) error {
 		raw, err := json.Marshal(in)
 		if err != nil {
@@ -242,12 +243,18 @@ func (c *Client) postJSON(ctx context.Context, peer, op, site, url string, in, o
 		if resp.StatusCode != http.StatusOK {
 			return peerStatusError(peer, resp)
 		}
-		if out == nil {
-			_, err = io.Copy(io.Discard, resp.Body)
-			return err
-		}
-		return json.NewDecoder(resp.Body).Decode(out)
+		return readBody(resp.Body, read)
 	})
+}
+
+// readBody hands a 200 body to read, or drains it when read is nil so
+// the connection can be reused.
+func readBody(body io.Reader, read func(io.Reader) error) error {
+	if read == nil {
+		_, err := io.Copy(io.Discard, body)
+		return err
+	}
+	return read(body)
 }
 
 // PeerStatusError is a non-200 peer response, carrying enough
@@ -300,49 +307,43 @@ func peerStatusError(peer string, resp *http.Response) error {
 	return e
 }
 
-// resultDoc is the results-API response body.
-type resultDoc struct {
-	Key     string        `json:"key"`
-	Results []core.Result `json:"results"`
-}
-
 // FetchResult asks peer for a cached result by key (its local tiers
 // only). found=false is a clean miss.
 func (c *Client) FetchResult(ctx context.Context, peer, key string) ([]core.Result, bool, error) {
-	var doc resultDoc
+	var rs []core.Result
 	found, err := c.get(ctx, peer, "fetch", key, peer+"/v1/results/"+key, true, func(body io.Reader) (err error) {
-		doc, err = decodeResultDoc(body)
+		rs, err = readResultsDoc(body, key)
 		return err
 	})
-	if err != nil || !found {
+	if err != nil || !found || len(rs) == 0 {
 		return nil, false, err
 	}
-	if len(doc.Results) == 0 {
-		return nil, false, nil
-	}
-	return doc.Results, true, nil
+	return rs, true, nil
 }
 
-// decodeResultDoc reads a GET /v1/results/{key} response body. Like a
-// fill, it holds one job's results, so decodeResults refuses more than
-// maxFillResults.
-func decodeResultDoc(body io.Reader) (resultDoc, error) {
-	key, rs, err := decodeResults(body)
-	if err != nil {
-		return resultDoc{}, err
+// readResultsDoc reads a GET /v1/results/{key} reply. Like a fill, it
+// holds one job's results, at most maxFillResults, and it must name
+// the key asked for.
+func readResultsDoc(body io.Reader, key string) ([]core.Result, error) {
+	doc, err := readDoc(body, maxFillBody, resultsDocDecoder)
+	switch {
+	case err != nil:
+		return nil, err
+	case doc.Key != key:
+		return nil, fmt.Errorf("results document names key %q, want %s", doc.Key, key)
+	case len(doc.Results) > maxFillResults:
+		return nil, fmt.Errorf("results document holds %d results, more than the %d one job has", len(doc.Results), maxFillResults)
 	}
-	return resultDoc{Key: key, Results: rs}, nil
+	return doc.Results, nil
 }
 
 // Probe pings a peer for the failure detector. It bypasses the peer's
 // breaker — the prober IS the thing that decides up/down, and an open
 // breaker must not be able to mask a recovered peer — and treats a
 // shed response as alive (the peer answered; it is busy, not dead).
+// The body of a 200 is not read: the status alone means up.
 func (c *Client) Probe(ctx context.Context, peer string) error {
-	_, err := c.get(ctx, peer, "probe", peer, peer+"/v1/cluster/ping", false, func(body io.Reader) error {
-		var doc pingDoc
-		return json.NewDecoder(body).Decode(&doc)
-	})
+	_, err := c.get(ctx, peer, "probe", peer, peer+"/v1/cluster/ping", false, nil)
 	if err != nil && IsShed(err) {
 		return nil
 	}
@@ -354,7 +355,7 @@ func (c *Client) Probe(ctx context.Context, peer string) error {
 func (c *Client) Manifest(ctx context.Context, peer string) ([]string, error) {
 	var doc manifestDoc
 	found, err := c.get(ctx, peer, "manifest", peer, peer+"/v1/cluster/manifest", true, func(body io.Reader) (err error) {
-		doc, err = decodeManifest(body)
+		doc, err = readDoc(body, maxManifestBody, manifestDecoder)
 		return err
 	})
 	if err != nil {
@@ -366,29 +367,36 @@ func (c *Client) Manifest(ctx context.Context, peer string) ([]string, error) {
 	return doc.Keys, nil
 }
 
-// decodeManifest reads a GET /v1/cluster/manifest response body.
-func decodeManifest(body io.Reader) (manifestDoc, error) {
-	var doc manifestDoc
-	if err := json.NewDecoder(body).Decode(&doc); err != nil {
-		return manifestDoc{}, err
-	}
-	return doc, nil
-}
-
 // RunShard dispatches a job shard to its owner peer and returns the
 // per-job results in request order. The bool argument is ignored; it
 // stays only so existing callers compile.
 func (c *Client) RunShard(ctx context.Context, peer string, jobs []runner.Job, _ bool) ([]runner.JobResult, error) {
-	var resp shardResponse
+	var out []runner.JobResult
 	err := c.postJSON(ctx, peer, "shard", shardSite(jobs), peer+"/v1/cluster/shard",
-		shardRequest{Jobs: jobs}, &resp)
+		shardRequest{Jobs: jobs}, func(body io.Reader) (err error) {
+			out, err = readShardReply(body, jobs)
+			return err
+		})
+	return out, err
+}
+
+// readShardReply reads a POST /v1/cluster/shard reply to jobs: at most
+// maxJobResultBody bytes per job, and one result per job, in job
+// order, under that job's key.
+func readShardReply(body io.Reader, jobs []runner.Job) ([]runner.JobResult, error) {
+	reply, err := readDoc(body, int64(len(jobs))*maxJobResultBody, shardReplyDecoder)
 	if err != nil {
 		return nil, err
 	}
-	if len(resp.Jobs) != len(jobs) {
-		return nil, fmt.Errorf("peer %s: shard returned %d results for %d jobs", peer, len(resp.Jobs), len(jobs))
+	if len(reply.Jobs) != len(jobs) {
+		return nil, fmt.Errorf("shard reply holds %d results for %d jobs", len(reply.Jobs), len(jobs))
 	}
-	return resp.Jobs, nil
+	for i := range jobs {
+		if key := jobs[i].Key(); reply.Jobs[i].Key != key {
+			return nil, fmt.Errorf("shard reply's result %d is for key %q, want %s", i, reply.Jobs[i].Key, key)
+		}
+	}
+	return reply.Jobs, nil
 }
 
 // shardSite derives a stable fault site for a shard dispatch from its
@@ -405,5 +413,5 @@ func shardSite(jobs []runner.Job) string {
 // fills never fan out again, so replication cannot loop.
 func (c *Client) ReplicaFill(ctx context.Context, peer, key string, rs []core.Result) error {
 	return c.postJSON(ctx, peer, "fill", key, peer+"/v1/cluster/fill",
-		fillRequest{Key: key, Results: rs}, nil)
+		runner.ResultsDoc{Key: key, Results: rs}, nil)
 }

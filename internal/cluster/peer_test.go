@@ -63,6 +63,13 @@ func TestPeerShedClassification(t *testing.T) {
 	if err := c.Probe(ctx, shedding); err != nil {
 		t.Fatalf("Probe against a shedding peer = %v, want nil (alive)", err)
 	}
+	// A 200 means up whatever its body: the probe reads none.
+	up := newLocalServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = w.Write([]byte("up"))
+	}))
+	if err := c.Probe(ctx, up); err != nil {
+		t.Fatalf("Probe against a 200 that is not a ping document = %v, want nil (up)", err)
+	}
 	// Non-errors are not shed; arbitrary errors are not shed.
 	if IsShed(nil) || IsShed(errors.New("boom")) {
 		t.Fatal("IsShed misclassified a non-shed error")

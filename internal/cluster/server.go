@@ -1,15 +1,12 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"time"
 
-	"catch/internal/core"
 	"catch/internal/runner"
 )
 
@@ -78,13 +75,6 @@ type shardRequest struct {
 // shardResponse carries the shard's per-job results in request order.
 type shardResponse struct {
 	Jobs []runner.JobResult `json:"jobs"`
-}
-
-// fillRequest pushes a replica copy of a completed result to a member
-// of the key's replica set, which stores it and forwards nothing.
-type fillRequest struct {
-	Key     string        `json:"key"`
-	Results []core.Result `json:"results"`
 }
 
 // pingDoc answers the failure detector's probe.
@@ -169,12 +159,12 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("X-Catch-Tier", tier)
-	runner.ServeResult(w, r, key, map[string]any{"key": key, "results": rs}, s.ResultMaxAge)
+	runner.ServeResult(w, r, key, runner.ResultsDoc{Key: key, Results: rs}, s.ResultMaxAge)
 }
 
 // handleShard executes one sweep shard on the local engine.
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
-	jobs, err := decodeShard(w, r.Body, s.Resolve)
+	jobs, err := decodeShard(r.Body, s.Resolve)
 	if err != nil {
 		runner.WriteJSON(w, http.StatusBadRequest, runner.ErrorBody{Error: err.Error()})
 		return
@@ -191,16 +181,68 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 // the registry to double.
 const maxShardBody = 2 << 20
 
+// maxJobResultBody bounds one job's share of a POST /v1/cluster/shard
+// reply, which may hold len(jobs) times as much. The widest legitimate
+// job result, a job of the widest registered config on maxFillResults
+// cores, their results with every number at its widest and a 100-frame
+// panic stack, is about 46 KB (TestLargestBodiesFitCaps). The cap
+// holds it twice.
+const maxJobResultBody = 128 << 10
+
+// maxFillResults bounds the results of one job, and so of a fill or a
+// results-API document: one result per core, and a job runs at most
+// one core per ring stop. Every registered config has 8 ring stops
+// (TestRegisteredConfigsFitFillBound).
+const maxFillResults = 8
+
+// maxFillBody caps a POST /v1/cluster/fill body and a GET
+// /v1/results/{key} reply. A result is about 2 KB as JSON, and 4.3 KB
+// with every number at its widest, so the largest legitimate document,
+// maxFillResults results, is under 36 KB.
+const maxFillBody = 64 << 10
+
+// maxManifestBody caps a GET /v1/cluster/manifest reply. A key takes
+// at most 67 bytes of the list (64 hex digits, quotes and a comma), so
+// the cap holds a million keys, about 2 GB of cached results.
+const maxManifestBody = 64 << 20
+
+// The decoders of every body one node takes from another. Each accepts
+// exactly what json.Marshal (or runner.WriteJSON) writes for its type
+// on this build, so a peer whose types differ, another core.Result
+// layout say, has its bodies refused, as a foreign disk entry is.
+var (
+	resultsDocDecoder   = runner.NewDecoder[runner.ResultsDoc]()
+	shardRequestDecoder = runner.NewDecoder[shardRequest]()
+	shardReplyDecoder   = runner.NewDecoder[shardResponse]()
+	manifestDecoder     = runner.NewDecoder[manifestDoc]()
+)
+
+// readDoc reads a body one node took from another whole and decodes
+// it with dec. A body over limit bytes is refused before any of it is
+// decoded.
+func readDoc[T any](body io.Reader, limit int64, dec runner.Decoder[T]) (T, error) {
+	var v T
+	raw, err := io.ReadAll(io.LimitReader(body, limit+1))
+	switch {
+	case err != nil:
+	case int64(len(raw)) > limit:
+		err = fmt.Errorf("body over %d bytes", limit)
+	default:
+		v, err = dec.Decode(raw)
+	}
+	return v, err
+}
+
 // decodeShard reads a POST /v1/cluster/shard body and checks every job
 // before anything runs: the body fits maxShardBody, there is at least
 // one job, each passes Validate, and each carries exactly the config
 // its name resolves to. A shard is the one body that carries a whole
 // SystemConfig, and a foreign one could ask NewSystem for arrays of
 // any size. It returns no jobs with an error.
-func decodeShard(w http.ResponseWriter, body io.ReadCloser, resolve runner.ConfigResolver) ([]runner.Job, error) {
-	var req shardRequest
-	if err := runner.DecodeBody(w, body, maxShardBody, &req); err != nil {
-		return nil, err
+func decodeShard(body io.Reader, resolve runner.ConfigResolver) ([]runner.Job, error) {
+	req, err := readDoc(body, maxShardBody, shardRequestDecoder)
+	if err != nil {
+		return nil, fmt.Errorf("bad request body: %v", err)
 	}
 	if len(req.Jobs) == 0 {
 		return nil, errors.New("shard needs at least one job")
@@ -223,98 +265,20 @@ func decodeShard(w http.ResponseWriter, body io.ReadCloser, resolve runner.Confi
 	return req.Jobs, nil
 }
 
-// maxFillResults bounds the results of one job, and so of a fill or a
-// results-API document: one result per core, and a job runs at most
-// one core per ring stop. Every registered config has 8 ring stops
-// (TestRegisteredConfigsFitFillBound).
-const maxFillResults = 8
-
-// maxFillBody caps a POST /v1/cluster/fill body. A result is about
-// 2 KB as JSON, and 4.3 KB with every number at its widest, so the
-// largest legitimate fill, maxFillResults results, is under 36 KB.
-// Without a cap a fill was unbounded: each 3-byte {} decodes to a
-// 960-byte core.Result, and every result is cached and written to
-// disk.
-const maxFillBody = 64 << 10
-
-// decodeFill reads a POST /v1/cluster/fill body. A body over
-// maxFillBody is rejected before any of it is decoded.
-func decodeFill(w http.ResponseWriter, body io.ReadCloser) (fillRequest, error) {
-	var req fillRequest
-	raw, err := io.ReadAll(http.MaxBytesReader(w, body, maxFillBody))
-	if err == nil {
-		req.Key, req.Results, err = decodeResults(bytes.NewReader(raw))
-	}
+// decodeFill reads a POST /v1/cluster/fill body, as Client.ReplicaFill
+// writes it.
+func decodeFill(body io.Reader) (runner.ResultsDoc, error) {
+	doc, err := readDoc(body, maxFillBody, resultsDocDecoder)
 	if err != nil {
-		return fillRequest{}, fmt.Errorf("bad request body: %v", err)
+		return runner.ResultsDoc{}, fmt.Errorf("bad request body: %v", err)
 	}
-	return req, nil
-}
-
-// decodeResults reads a JSON object whose "key" and "results" fields
-// carry one job's results: a fill body or a results document. It
-// streams the list and refuses the result past maxFillResults before
-// decoding it, so a long list of small results never becomes a long
-// list of core.Results. Other fields are skipped.
-func decodeResults(r io.Reader) (string, []core.Result, error) {
-	dec := json.NewDecoder(r)
-	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
-		return "", nil, errors.New("want a JSON object")
-	}
-	var key string
-	var rs []core.Result
-	for dec.More() {
-		name, err := dec.Token()
-		switch {
-		case err != nil:
-		case name == "key":
-			err = dec.Decode(&key)
-		case name == "results":
-			rs, err = decodeResultList(dec)
-		default:
-			err = dec.Decode(new(json.RawMessage))
-		}
-		if err != nil {
-			return "", nil, err
-		}
-	}
-	if _, err := dec.Token(); err != nil { // the closing brace
-		return "", nil, err
-	}
-	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
-		return "", nil, errors.New("data after the JSON object")
-	}
-	return key, rs, nil
-}
-
-// decodeResultList reads a "results" value: null, or a list of at most
-// maxFillResults results.
-func decodeResultList(dec *json.Decoder) ([]core.Result, error) {
-	tok, err := dec.Token()
-	if err != nil || tok == nil {
-		return nil, err
-	}
-	if tok != json.Delim('[') {
-		return nil, errors.New("results is not a list")
-	}
-	rs := []core.Result{}
-	for dec.More() {
-		if len(rs) == maxFillResults {
-			return nil, fmt.Errorf("more than %d results, the most one job has", maxFillResults)
-		}
-		rs = append(rs, core.Result{})
-		if err := dec.Decode(&rs[len(rs)-1]); err != nil {
-			return nil, err
-		}
-	}
-	_, err = dec.Token() // the closing bracket
-	return rs, err
+	return doc, nil
 }
 
 func (s *Server) handleFill(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeFill(w, r.Body)
+	doc, err := decodeFill(r.Body)
 	if err == nil {
-		err = s.Node.HandleFill(req.Key, req.Results)
+		err = s.Node.HandleFill(doc.Key, doc.Results)
 	}
 	if err != nil {
 		runner.WriteJSON(w, http.StatusBadRequest, runner.ErrorBody{Error: err.Error()})

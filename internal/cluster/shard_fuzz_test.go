@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"reflect"
 	"testing"
 
@@ -13,14 +12,15 @@ import (
 
 // FuzzShardRequest feeds arbitrary bytes to decodeShard, the POST
 // /v1/cluster/shard body decoder and the checks handleShard makes
-// before it runs anything; it runs no simulation. It must never panic;
-// an accepted body must fit maxShardBody and hold at least one job,
-// each passing Validate and carrying the registered config of its
-// name, and the same body padded with spaces past maxShardBody must be
-// rejected; a rejected body must yield no jobs, so the handler runs
-// nothing. Seeds are a valid shard, an empty one, and shards whose
-// config asks for a 1 TB LLC, has a changed LLCLat, or has a name no
-// registry knows.
+// before it runs anything; it runs no simulation. It must never panic
+// or allocate past peerAllocBound; an accepted body must fit
+// maxShardBody, decode with json.Unmarshal to the same jobs and hold
+// at least one job, each passing Validate and carrying the registered
+// config of its name, and the same body padded with spaces past
+// maxShardBody must be rejected; a rejected body must yield no jobs,
+// so the handler runs nothing. Seeds are a valid shard, an empty one,
+// and shards whose config asks for a 1 TB LLC, has a changed LLCLat,
+// or has a name no registry knows.
 func FuzzShardRequest(f *testing.F) {
 	resolve := testResolver()
 	cfg, _ := resolve("nol2-catch")
@@ -37,10 +37,14 @@ func FuzzShardRequest(f *testing.F) {
 	}
 	f.Add([]byte(`{"jobs":[]}`))
 	decode := func(body []byte) ([]runner.Job, error) {
-		return decodeShard(nil, io.NopCloser(bytes.NewReader(body)), resolve)
+		return decodeShard(bytes.NewReader(body), resolve)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		jobs, err := decode(body)
+		var jobs []runner.Job
+		var err error
+		if n := allocated(func() { jobs, err = decode(body) }); n > peerAllocBound(len(body)) {
+			t.Fatalf("%.120q: decoding %d bytes allocated %d, bound %d", body, len(body), n, peerAllocBound(len(body)))
+		}
 		if err != nil {
 			if jobs != nil {
 				t.Fatalf("%.120q: rejected (%v) but yielded %d jobs", body, err, len(jobs))
@@ -56,6 +60,7 @@ func FuzzShardRequest(f *testing.F) {
 		if len(jobs) == 0 {
 			t.Fatalf("%.120q: accepted with no jobs", body)
 		}
+		checkMatchesUnmarshal(t, body, shardRequest{Jobs: jobs})
 		for i := range jobs {
 			if err := jobs[i].Validate(); err != nil {
 				t.Fatalf("%.120q: accepted job %d does not validate: %v", body, i, err)

@@ -75,11 +75,3 @@ func b2u(b bool) uint64 {
 	}
 	return 0
 }
-
-// MispredictRate returns the observed misprediction rate.
-func (g *Gshare) MispredictRate() float64 {
-	if g.Predicts == 0 {
-		return 0
-	}
-	return float64(g.Mispredicts) / float64(g.Predicts)
-}

@@ -6,7 +6,6 @@ package experiments
 import (
 	"sort"
 
-	"catch/internal/cache"
 	"catch/internal/config"
 )
 
@@ -54,6 +53,3 @@ func ConfigNames() []string {
 	sort.Strings(names)
 	return names
 }
-
-// levelName maps a HitLevel to the paper's label.
-func levelName(l cache.HitLevel) string { return l.String() }

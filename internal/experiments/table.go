@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"catch/internal/core"
@@ -124,14 +123,4 @@ func avgOver(rs []core.Result, category string, f func(*core.Result) float64) fl
 		xs = append(xs, f(&rs[i]))
 	}
 	return stats.Mean(xs)
-}
-
-// sortedNames returns workload names of rs in stable order.
-func sortedNames(rs []core.Result) []string {
-	names := make([]string, 0, len(rs))
-	for _, r := range rs {
-		names = append(names, r.Workload)
-	}
-	sort.Strings(names)
-	return names
 }

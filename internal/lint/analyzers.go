@@ -1,10 +1,10 @@
 package lint
 
 // Analyzers returns a freshly configured instance of every analyzer,
-// scoped for this module. Analyzers carry per-run state (the
-// atomic-consistency analyzer accumulates module-wide facts, the
-// state-coverage family shares one field-reachability engine), so
-// each Run must use a fresh set.
+// scoped for this module. Analyzers may carry per-run state (the
+// state-coverage family shares one field-reachability engine, and
+// key-coverage reads it from its End hook), so each Run must use a
+// fresh set.
 func Analyzers() []*Analyzer {
 	eng := newStateEngine()
 	return []*Analyzer{

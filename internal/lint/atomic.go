@@ -1,196 +1,37 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
-	"sort"
-	"strings"
 )
 
-// NewAtomicConsistency builds the atomic-consistency analyzer: a
-// struct field or package-level variable that is ever accessed
-// through a sync/atomic function (atomic.AddUint64(&x.f, 1), ...)
-// must never be read or written plainly anywhere else in the module —
-// a single plain access next to atomic ones is a data race the race
-// detector only catches if a test happens to interleave it. Variables
-// of the sync/atomic value types (atomic.Uint64 et al.) are already
-// safe by construction — their state is unexported — so the analyzer
-// concerns itself only with the function-based API.
-//
-// The analyzer is module-global: facts accumulate across packages
-// (the loader typechecks each package once, so types.Var identities
-// are stable) and are reported from the End hook.
+// NewAtomicConsistency builds the atomic-consistency analyzer: no code
+// uses a sync/atomic package function (atomic.AddUint64(&x.f, 1),
+// atomic.LoadInt64, ...). The location such a function updates is an
+// ordinary variable that any other line may read or write plainly, a
+// data race the race detector only catches if a test happens to
+// interleave it. The typed values (atomic.Uint64, atomic.Int64,
+// atomic.Bool, ...) keep their state unexported, so every access goes
+// through a method and none can be plain.
 func NewAtomicConsistency() *Analyzer {
-	type access struct {
-		pos   token.Position
-		write bool
-	}
-	type fieldFacts struct {
-		name     string
-		atomicAt token.Position
-		atomic   int
-		plain    []access
-	}
-	facts := make(map[*types.Var]*fieldFacts)
-
 	a := &Analyzer{
 		Name: "atomic-consistency",
-		Doc:  "a field accessed via sync/atomic must never be accessed plainly",
+		Doc:  "no sync/atomic functions: use the typed atomics, whose values cannot be accessed plainly",
 	}
 	a.Run = func(pass *Pass) {
-		// Selector expressions consumed by an atomic call, so the
-		// plain-access walk below skips them.
-		atomicArgs := make(map[ast.Expr]bool)
 		for _, f := range pass.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
+				id, ok := n.(*ast.Ident)
 				if !ok {
 					return true
 				}
-				obj := calleeObj(pass.Info, call)
-				if !isAtomicFunc(obj) || len(call.Args) == 0 {
-					return true
+				fn, ok := pass.Info.Uses[id].(*types.Func)
+				if ok && pkgPathOf(fn) == "sync/atomic" && fn.Type().(*types.Signature).Recv() == nil {
+					pass.Reportf(id.Pos(), "atomic.%s is a sync/atomic function: use a typed atomic (atomic.Uint64 and kin), whose value cannot be read or written plainly", fn.Name())
 				}
-				target := atomicTarget(pass.Info, call.Args[0])
-				if target == nil {
-					return true
-				}
-				v := trackedVar(pass.Info, target)
-				if v == nil {
-					return true
-				}
-				atomicArgs[target] = true
-				ff := facts[v]
-				if ff == nil {
-					ff = &fieldFacts{name: v.Name(), atomicAt: pass.Fset.Position(call.Pos())}
-					facts[v] = ff
-				}
-				ff.atomic++
 				return true
 			})
-		}
-		for _, f := range pass.Files {
-			inspectWithStack(f, func(n ast.Node, stack []ast.Node) bool {
-				expr, ok := n.(ast.Expr)
-				if !ok || atomicArgs[expr] {
-					return true
-				}
-				v := trackedVar(pass.Info, expr)
-				if v == nil {
-					return true
-				}
-				// Only the outermost selector of a chain counts; its
-				// parent must not itself be (part of) the same access.
-				if len(stack) > 0 {
-					if sel, ok := stack[len(stack)-1].(*ast.SelectorExpr); ok && sel.Sel != n {
-						return true
-					}
-				}
-				ff := facts[v]
-				if ff == nil {
-					ff = &fieldFacts{name: v.Name()}
-					facts[v] = ff
-				}
-				ff.plain = append(ff.plain, access{pos: pass.Fset.Position(n.Pos()), write: isWriteContext(n, stack)})
-				return true
-			})
-		}
-	}
-	a.End = func(report func(Diagnostic)) {
-		for _, ff := range facts {
-			if ff.atomic == 0 || len(ff.plain) == 0 {
-				continue
-			}
-			sort.Slice(ff.plain, func(i, j int) bool {
-				if ff.plain[i].pos.Filename != ff.plain[j].pos.Filename {
-					return ff.plain[i].pos.Filename < ff.plain[j].pos.Filename
-				}
-				return ff.plain[i].pos.Line < ff.plain[j].pos.Line
-			})
-			for _, acc := range ff.plain {
-				verb := "read"
-				if acc.write {
-					verb = "written"
-				}
-				report(Diagnostic{
-					Analyzer: a.Name,
-					Pos:      acc.pos,
-					Message: fmt.Sprintf("%s is updated with sync/atomic (e.g. %s:%d) but %s plainly here: mixed access is a data race",
-						ff.name, ff.atomicAt.Filename, ff.atomicAt.Line, verb),
-				})
-			}
 		}
 	}
 	return a
-}
-
-// isAtomicFunc reports whether obj is a package-level sync/atomic
-// function that operates on a pointed-to location.
-func isAtomicFunc(obj types.Object) bool {
-	fn, ok := obj.(*types.Func)
-	if !ok || pkgPathOf(fn) != "sync/atomic" || fn.Type().(*types.Signature).Recv() != nil {
-		return false
-	}
-	for _, prefix := range []string{"Load", "Store", "Add", "Swap", "CompareAndSwap", "And", "Or"} {
-		if strings.HasPrefix(fn.Name(), prefix) {
-			return true
-		}
-	}
-	return false
-}
-
-// atomicTarget unwraps &expr from an atomic call's first argument and
-// returns the addressed expression.
-func atomicTarget(info *types.Info, arg ast.Expr) ast.Expr {
-	u, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-	if !ok || u.Op != token.AND {
-		return nil
-	}
-	return ast.Unparen(u.X)
-}
-
-// trackedVar resolves expr to a struct field or package-level
-// variable worth tracking (locals are skipped: they cannot be shared
-// before they escape, at which point they are fields or globals).
-func trackedVar(info *types.Info, expr ast.Expr) *types.Var {
-	switch e := expr.(type) {
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[e]; ok && sel.Kind() == types.FieldVal {
-			return sel.Obj().(*types.Var)
-		}
-		// Package-qualified global: pkg.Var.
-		if v, ok := info.Uses[e.Sel].(*types.Var); ok && !v.IsField() && v.Parent() == v.Pkg().Scope() {
-			return v
-		}
-	case *ast.Ident:
-		if v, ok := info.Uses[e].(*types.Var); ok && !v.IsField() && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-			return v
-		}
-	}
-	return nil
-}
-
-// isWriteContext reports whether the expression at the top of stack
-// is being assigned, incremented, or having its address taken.
-func isWriteContext(n ast.Node, stack []ast.Node) bool {
-	if len(stack) == 0 {
-		return false
-	}
-	switch parent := stack[len(stack)-1].(type) {
-	case *ast.AssignStmt:
-		for _, lhs := range parent.Lhs {
-			if ast.Unparen(lhs) == n {
-				return true
-			}
-		}
-	case *ast.IncDecStmt:
-		return ast.Unparen(parent.X) == n
-	case *ast.UnaryExpr:
-		// Taking the address outside an atomic call allows arbitrary
-		// aliased plain access; treat it as a write.
-		return parent.Op == token.AND
-	}
-	return false
 }

@@ -11,9 +11,8 @@
 //
 // An analyzer inspects one typechecked package at a time through a
 // Pass and reports Diagnostics; analyzers that need whole-module state
-// (atomic-consistency, the state-coverage family via its shared
-// stateEngine) accumulate it across passes and report from their End
-// hook. Packages load and analyze in parallel; output order is
+// (the state-coverage family via its shared stateEngine) accumulate it
+// across passes and report from their End hook. Packages load and analyze in parallel; output order is
 // deterministic regardless of scheduling.
 //
 // The state-coverage analyzers read facts the code cannot express

@@ -34,8 +34,8 @@ type Package struct {
 // external dependencies) is delegated to go/importer's source
 // importer, which shares our FileSet. Each package is typechecked
 // exactly once, so types.Object identities are stable across passes —
-// the atomic-consistency analyzer and the state-coverage engine rely
-// on that to correlate fields between packages.
+// the state-coverage engine relies on that to correlate fields between
+// packages.
 //
 // Loading runs in two parallel phases. Directory scanning and parsing
 // fan out freely (token.FileSet is internally synchronized; positions

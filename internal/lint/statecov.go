@@ -299,15 +299,6 @@ func isSnapPtr(t types.Type, typeName string) bool {
 	return named.Obj().Name() == typeName && isSnapPkg(named.Obj().Pkg())
 }
 
-// moduleStruct resolves a TypeName back to the engine's structFacts
-// (nil when tn was not declared in an analyzed package).
-func (e *stateEngine) moduleStruct(tn *types.TypeName) *structFacts {
-	if tn == nil {
-		return nil
-	}
-	return e.structs[tn]
-}
-
 // fieldAnnoOf returns the named annotation on field fv of struct sf.
 func (sf *structFacts) anno(fv *types.Var, marker string) *anno {
 	if m := sf.fieldAnno[fv]; m != nil {

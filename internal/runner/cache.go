@@ -141,7 +141,7 @@ func (c *Cache) GetMem(key string) ([]core.Result, bool) {
 // memory layer (tier promotion is the caller's decision). Disk health
 // feeds the cache's breaker exactly as in the combined path. An entry
 // is corrupt unless it is json.Marshal's layout of a non-empty result
-// list (decodeEntry). A corrupt entry is quarantined — renamed to
+// list, optionally followed by one newline (decodeEntry). A corrupt entry is quarantined — renamed to
 // *.corrupt on first detection so it is kept for inspection but never
 // re-read — and treated as a miss, never a failure: the job simply
 // recomputes and persists a fresh entry.

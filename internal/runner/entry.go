@@ -12,41 +12,58 @@ import (
 	"catch/internal/core"
 )
 
-// A disk cache entry is the json.Marshal encoding of a job's
-// []core.Result, and decodeEntry reads that layout and nothing else,
-// in one pass: object fields in declaration order under the names
-// encoding/json gives them, an omitempty field absent when empty, no
-// whitespace, null for a nil pointer or slice, and nothing after the
-// closing bracket. Numbers follow the JSON grammar and go through the
-// strconv call encoding/json makes for the field's kind. Strings must
-// be valid UTF-8 and may use any JSON escape except a UTF-16
-// surrogate; json.Marshal writes neither invalid UTF-8 nor surrogates.
-// Whatever the decoder accepts, json.Unmarshal decodes to the same
-// value; anything else is an error, and GetDisk quarantines the entry.
-// Each type is planned once: a struct's fields are resolved to their
-// JSON names and bound to the decoder of their type.
+// Every JSON body the program writes and later reads back, a disk
+// cache entry or a body one catchd node sends another, is read by a
+// Decoder, which accepts json.Marshal's layout of its type and nothing
+// else, in one pass: object fields in declaration order under the
+// names encoding/json gives them, an omitempty field absent when
+// empty, no whitespace, null for a nil pointer or slice, and nothing
+// after the value but the one newline json.Encoder appends. Numbers
+// follow the JSON grammar and go through the strconv call
+// encoding/json makes for the field's kind. Strings must be valid
+// UTF-8 and may use any JSON escape except a UTF-16 surrogate;
+// json.Marshal writes neither invalid UTF-8 nor surrogates. Whatever a
+// Decoder accepts, json.Unmarshal decodes to the same value; anything
+// else is an error. Each type is planned once: a struct's fields are
+// resolved to their JSON names and bound to the decoder of their type.
 
 // decodeFunc decodes the JSON value at d's offset into v, which is
 // settable and holds its type's zero value.
-type decodeFunc func(d *entryDecoder, v reflect.Value) error
+type decodeFunc func(d *decodeState, v reflect.Value) error
 
-// resultsDecoder is planned at package initialisation, so a Result
-// field of a kind the planner does not support panics at once, in
-// every test, instead of quarantining every entry on disk.
-var resultsDecoder = planDecode(reflect.TypeFor[[]core.Result]())
+// Decoder reads the json.Marshal encoding of a T.
+type Decoder[T any] struct {
+	dec decodeFunc
+}
+
+// NewDecoder plans T's decoder. Call it at package initialisation, so
+// a field of a kind the planner does not support panics at once, in
+// every test, instead of refusing every body of that type.
+func NewDecoder[T any]() Decoder[T] {
+	return Decoder[T]{dec: planDecode(reflect.TypeFor[T]())}
+}
+
+// Decode decodes raw, json.Marshal's encoding of a T optionally
+// followed by one newline. It returns T's zero value with an error.
+func (p Decoder[T]) Decode(raw []byte) (T, error) {
+	var v T
+	d := decodeState{buf: raw}
+	err := p.dec(&d, reflect.ValueOf(&v).Elem())
+	if err == nil {
+		d.skip("\n")
+		if d.off != len(raw) {
+			err = d.fail("the end of the body")
+		}
+	}
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return v, nil
+}
 
 // decodeEntry decodes a disk cache entry written by PutDisk.
-func decodeEntry(raw []byte) ([]core.Result, error) {
-	var rs []core.Result
-	d := entryDecoder{buf: raw}
-	if err := resultsDecoder(&d, reflect.ValueOf(&rs).Elem()); err != nil {
-		return nil, err
-	}
-	if d.off != len(raw) {
-		return nil, d.fail("the end of the entry")
-	}
-	return rs, nil
-}
+var decodeEntry = NewDecoder[[]core.Result]().Decode
 
 var (
 	jsonUnmarshaler = reflect.TypeFor[json.Unmarshaler]()
@@ -54,19 +71,19 @@ var (
 )
 
 // planDecode builds the decoder for t. It panics on anything outside
-// the kinds Result's type tree uses (structs, pointers, slices,
-// arrays, strings, bools, integers and floats) and on types
-// encoding/json would encode or decode through a custom method.
+// the kinds the decoded types use (structs, pointers, slices, arrays,
+// strings, bools, integers and floats) and on types encoding/json
+// would encode or decode through a custom method.
 func planDecode(t reflect.Type) decodeFunc {
 	if implementsAny(t, jsonMarshaler, textMarshaler, jsonUnmarshaler, textUnmarshaler) {
-		panic(fmt.Sprintf("runner: cache entry cannot decode %s: it has a custom JSON or text codec", t))
+		panic(fmt.Sprintf("runner: cannot decode %s: it has a custom JSON or text codec", t))
 	}
 	switch t.Kind() {
 	case reflect.Struct:
 		return planDecodeStruct(t)
 	case reflect.Pointer:
 		elem := planDecode(t.Elem())
-		return func(d *entryDecoder, v reflect.Value) error {
+		return func(d *decodeState, v reflect.Value) error {
 			if d.skip("null") {
 				return nil
 			}
@@ -76,10 +93,10 @@ func planDecode(t reflect.Type) decodeFunc {
 		}
 	case reflect.Slice:
 		if t.Elem().Kind() == reflect.Uint8 {
-			panic(fmt.Sprintf("runner: cache entry cannot decode %s: encoding/json writes byte slices as base64", t))
+			panic(fmt.Sprintf("runner: cannot decode %s: encoding/json writes byte slices as base64", t))
 		}
 		elem := planDecode(t.Elem())
-		return func(d *entryDecoder, v reflect.Value) error {
+		return func(d *decodeState, v reflect.Value) error {
 			if d.skip("null") {
 				return nil
 			}
@@ -108,7 +125,7 @@ func planDecode(t reflect.Type) decodeFunc {
 		}
 	case reflect.Array:
 		elem := planDecode(t.Elem())
-		return func(d *entryDecoder, v reflect.Value) error {
+		return func(d *decodeState, v reflect.Value) error {
 			if !d.skip("[") {
 				return d.fail("[")
 			}
@@ -126,7 +143,7 @@ func planDecode(t reflect.Type) decodeFunc {
 			return nil
 		}
 	case reflect.String:
-		return func(d *entryDecoder, v reflect.Value) error {
+		return func(d *decodeState, v reflect.Value) error {
 			s, err := d.string()
 			if err == nil {
 				v.SetString(s)
@@ -134,7 +151,7 @@ func planDecode(t reflect.Type) decodeFunc {
 			return err
 		}
 	case reflect.Bool:
-		return func(d *entryDecoder, v reflect.Value) error {
+		return func(d *decodeState, v reflect.Value) error {
 			switch {
 			case d.skip("true"):
 				v.SetBool(true)
@@ -144,7 +161,7 @@ func planDecode(t reflect.Type) decodeFunc {
 			return nil
 		}
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return func(d *entryDecoder, v reflect.Value) error {
+		return func(d *decodeState, v reflect.Value) error {
 			start := d.off
 			n, err := strconv.ParseInt(string(d.number()), 10, 64)
 			if err != nil || v.OverflowInt(n) {
@@ -155,7 +172,7 @@ func planDecode(t reflect.Type) decodeFunc {
 			return nil
 		}
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		return func(d *entryDecoder, v reflect.Value) error {
+		return func(d *decodeState, v reflect.Value) error {
 			start := d.off
 			n, err := strconv.ParseUint(string(d.number()), 10, 64)
 			if err != nil || v.OverflowUint(n) {
@@ -166,7 +183,7 @@ func planDecode(t reflect.Type) decodeFunc {
 			return nil
 		}
 	case reflect.Float32, reflect.Float64:
-		return func(d *entryDecoder, v reflect.Value) error {
+		return func(d *decodeState, v reflect.Value) error {
 			start := d.off
 			f, err := strconv.ParseFloat(string(d.number()), t.Bits())
 			if err != nil || v.OverflowFloat(f) {
@@ -177,7 +194,7 @@ func planDecode(t reflect.Type) decodeFunc {
 			return nil
 		}
 	}
-	panic(fmt.Sprintf("runner: cache entry cannot decode %s of kind %s", t, t.Kind()))
+	panic(fmt.Sprintf("runner: cannot decode %s of kind %s", t, t.Kind()))
 }
 
 // fieldDecoder is one struct field as json.Marshal writes it.
@@ -194,7 +211,7 @@ type fieldDecoder struct {
 // omitempty one, which may be absent.
 func planDecodeStruct(t reflect.Type) decodeFunc {
 	var fields []fieldDecoder
-	for _, f := range jsonFields(t, "cache entry cannot decode") {
+	for _, f := range jsonFields(t, "cannot decode") {
 		fields = append(fields, fieldDecoder{
 			key:       string(f.key),
 			commaKey:  "," + string(f.key),
@@ -203,7 +220,7 @@ func planDecodeStruct(t reflect.Type) decodeFunc {
 			dec:       planDecode(f.typ),
 		})
 	}
-	return func(d *entryDecoder, v reflect.Value) error {
+	return func(d *decodeState, v reflect.Value) error {
 		if !d.skip("{") {
 			return d.fail("{")
 		}
@@ -232,20 +249,20 @@ func planDecodeStruct(t reflect.Type) decodeFunc {
 	}
 }
 
-// entryDecoder is the read position in one entry.
-type entryDecoder struct {
+// decodeState is the read position in one body.
+type decodeState struct {
 	buf []byte
 	off int
 }
 
-// fail reports what the decoder wanted where the entry departs from
+// fail reports what the decoder wanted where the body departs from
 // json.Marshal's layout.
-func (d *entryDecoder) fail(want string) error {
-	return fmt.Errorf("runner: cache entry: want %s at offset %d", want, d.off)
+func (d *decodeState) fail(want string) error {
+	return fmt.Errorf("runner: decode: want %s at offset %d", want, d.off)
 }
 
-// skip consumes lit if the entry continues with it.
-func (d *entryDecoder) skip(lit string) bool {
+// skip consumes lit if the body continues with it.
+func (d *decodeState) skip(lit string) bool {
 	if rest := d.buf[d.off:]; len(rest) >= len(lit) && string(rest[:len(lit)]) == lit {
 		d.off += len(lit)
 		return true
@@ -256,7 +273,7 @@ func (d *entryDecoder) skip(lit string) bool {
 // number consumes the JSON number that starts the rest and returns
 // its text. It returns nil, consuming nothing, when the rest starts
 // with no number or with one whose fraction or exponent has no digits.
-func (d *entryDecoder) number() []byte {
+func (d *decodeState) number() []byte {
 	b, i := d.buf, d.off
 	digits := func() bool {
 		start := i
@@ -297,7 +314,7 @@ func (d *entryDecoder) number() []byte {
 // string decodes a JSON string. One without escapes or bytes outside
 // printable ASCII, which every name in the registries is, is a single
 // copy.
-func (d *entryDecoder) string() (string, error) {
+func (d *decodeState) string() (string, error) {
 	if !d.skip(`"`) {
 		return "", d.fail("a string")
 	}
@@ -318,7 +335,7 @@ func (d *entryDecoder) string() (string, error) {
 
 // unquote finishes a string that holds an escape or a byte outside
 // printable ASCII at i, decoding it as encoding/json does.
-func (d *entryDecoder) unquote(i int) (string, error) {
+func (d *decodeState) unquote(i int) (string, error) {
 	b := d.buf
 	out := append(make([]byte, 0, i-d.off+16), b[d.off:i]...)
 	for i < len(b) {

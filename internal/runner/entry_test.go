@@ -64,7 +64,9 @@ func checkDecodeMatchesReference(t testing.TB, what string, raw []byte) []core.R
 // before the cache decoded them in one pass: each must be a disk hit
 // holding what json.Unmarshal reads, and PutDisk must write those
 // results back byte for byte. So existing cache directories keep
-// hitting, and new entries are what older binaries wrote.
+// hitting, and new entries are what older binaries wrote. Each entry
+// followed by the newline json.Encoder appends, the one departure
+// from json.Marshal's layout the decoder reads, decodes the same.
 func TestCommittedEntriesStillHit(t *testing.T) {
 	dir := t.TempDir()
 	c := NewCache(dir)
@@ -72,6 +74,7 @@ func TestCommittedEntriesStillHit(t *testing.T) {
 		key := j.Key()
 		raw := readEntry(t, j)
 		want := checkDecodeMatchesReference(t, key, raw)
+		checkDecodeMatchesReference(t, key+" and a newline", append(bytes.Clone(raw), '\n'))
 		// A copy, since a rejected entry would be quarantined.
 		if err := os.WriteFile(filepath.Join(dir, fileName(key)), raw, 0o644); err != nil {
 			t.Fatal(err)
@@ -205,9 +208,10 @@ func TestEntryDecodeCoversEveryResultField(t *testing.T) {
 }
 
 // TestEntryDecodeRejects pins that an entry departing from
-// json.Marshal's layout is a quarantined miss even where json.Unmarshal
-// would have read it, with missing or unknown fields left zero or
-// dropped. Each case edits a committed entry once.
+// json.Marshal's layout, beyond the one newline json.Encoder appends,
+// is a quarantined miss even where json.Unmarshal would have read it,
+// with missing or unknown fields left zero or dropped. Each case edits
+// a committed entry once.
 func TestEntryDecodeRejects(t *testing.T) {
 	job := entryJobs()[0]
 	key := job.Key()
@@ -217,33 +221,34 @@ func TestEntryDecodeRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, bad := range map[string]string{
-		"indented":            indented.String(),
-		"trailing newline":    entry + "\n",
-		"space after colon":   strings.Replace(entry, `"Insts":`, `"Insts": `, 1),
-		"fields reordered":    strings.Replace(entry, `"Category":"ISPEC","Config":"catch"`, `"Config":"catch","Category":"ISPEC"`, 1),
-		"field missing":       strings.Replace(entry, `"Mispredicts":46,`, ``, 1),
-		"unknown field":       strings.Replace(entry, `"HasL2":true,`, `"HasL2":true,"HasL3":false,`, 1),
-		"field name case":     strings.Replace(entry, `"Insts":`, `"insts":`, 1),
-		"field repeated":      strings.Replace(entry, `"Insts":4000,`, `"Insts":4000,"Insts":4000,`, 1),
-		"integer as float":    strings.Replace(entry, `"Insts":4000,`, `"Insts":4000.0,`, 1),
-		"integer overflow":    strings.Replace(entry, `"Insts":4000,`, `"Insts":9223372036854775808,`, 1),
-		"negative unsigned":   strings.Replace(entry, `"Loads":908,`, `"Loads":-908,`, 1),
-		"leading zero":        strings.Replace(entry, `"Loads":908,`, `"Loads":0908,`, 1),
-		"float out of range":  strings.Replace(entry, `"IPC":0.9153318077803204,`, `"IPC":1e400,`, 1),
-		"string for number":   strings.Replace(entry, `"Insts":4000,`, `"Insts":"4000",`, 1),
-		"array too short":     strings.Replace(entry, `"Messages":[592,592,0,0]`, `"Messages":[592,592,0]`, 1),
-		"array too long":      strings.Replace(entry, `"Messages":[592,592,0,0]`, `"Messages":[592,592,0,0,0]`, 1),
-		"surrogate escape":    strings.Replace(entry, `"Workload":"mcf"`, `"Workload":"\ud83d\ude00"`, 1),
-		"raw invalid UTF-8":   strings.Replace(entry, `"Workload":"mcf"`, "\"Workload\":\"m\xffcf\"", 1),
-		"raw control byte":    strings.Replace(entry, `"Workload":"mcf"`, "\"Workload\":\"m\tcf\"", 1),
-		"bool as number":      strings.Replace(entry, `"HasL2":true`, `"HasL2":1`, 1),
-		"two entries":         entry + entry,
-		"object, not a list":  entry[1 : len(entry)-1],
-		"truncated":           entry[:len(entry)-1],
-		"empty list":          `[]`,
-		"null":                `null`,
-		"empty":               ``,
-		"empty result object": `[{}]`,
+		"indented":              indented.String(),
+		"two trailing newlines": entry + "\n\n",
+		"trailing space":        entry + " ",
+		"space after colon":     strings.Replace(entry, `"Insts":`, `"Insts": `, 1),
+		"fields reordered":      strings.Replace(entry, `"Category":"ISPEC","Config":"catch"`, `"Config":"catch","Category":"ISPEC"`, 1),
+		"field missing":         strings.Replace(entry, `"Mispredicts":46,`, ``, 1),
+		"unknown field":         strings.Replace(entry, `"HasL2":true,`, `"HasL2":true,"HasL3":false,`, 1),
+		"field name case":       strings.Replace(entry, `"Insts":`, `"insts":`, 1),
+		"field repeated":        strings.Replace(entry, `"Insts":4000,`, `"Insts":4000,"Insts":4000,`, 1),
+		"integer as float":      strings.Replace(entry, `"Insts":4000,`, `"Insts":4000.0,`, 1),
+		"integer overflow":      strings.Replace(entry, `"Insts":4000,`, `"Insts":9223372036854775808,`, 1),
+		"negative unsigned":     strings.Replace(entry, `"Loads":908,`, `"Loads":-908,`, 1),
+		"leading zero":          strings.Replace(entry, `"Loads":908,`, `"Loads":0908,`, 1),
+		"float out of range":    strings.Replace(entry, `"IPC":0.9153318077803204,`, `"IPC":1e400,`, 1),
+		"string for number":     strings.Replace(entry, `"Insts":4000,`, `"Insts":"4000",`, 1),
+		"array too short":       strings.Replace(entry, `"Messages":[592,592,0,0]`, `"Messages":[592,592,0]`, 1),
+		"array too long":        strings.Replace(entry, `"Messages":[592,592,0,0]`, `"Messages":[592,592,0,0,0]`, 1),
+		"surrogate escape":      strings.Replace(entry, `"Workload":"mcf"`, `"Workload":"\ud83d\ude00"`, 1),
+		"raw invalid UTF-8":     strings.Replace(entry, `"Workload":"mcf"`, "\"Workload\":\"m\xffcf\"", 1),
+		"raw control byte":      strings.Replace(entry, `"Workload":"mcf"`, "\"Workload\":\"m\tcf\"", 1),
+		"bool as number":        strings.Replace(entry, `"HasL2":true`, `"HasL2":1`, 1),
+		"two entries":           entry + entry,
+		"object, not a list":    entry[1 : len(entry)-1],
+		"truncated":             entry[:len(entry)-1],
+		"empty list":            `[]`,
+		"null":                  `null`,
+		"empty":                 ``,
+		"empty result object":   `[{}]`,
 	} {
 		t.Run(name, func(t *testing.T) {
 			if bad == entry {

@@ -144,7 +144,7 @@ type jsonField struct {
 // jsonFields resolves t's fields, in declaration order, as
 // encoding/json does: the json tag's name, else the Go name;
 // unexported and json:"-" fields skipped; omitempty honoured. Both the
-// job key's encoder and the cache entry's decoder plan from it. It
+// job key's encoder and every Decoder plan from it. It
 // panics, naming what in the message, on an embedded field, on any
 // json option but omitempty and on two fields of one name.
 func jsonFields(t reflect.Type, what string) []jsonField {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"catch/internal/config"
+	"catch/internal/core"
 	"catch/internal/fault"
 	"catch/internal/sample"
 	"catch/internal/telemetry"
@@ -140,6 +141,14 @@ func (req *SweepRequest) Jobs(resolve ConfigResolver) ([]Job, error) {
 // ErrorBody is the JSON body of every catchd error response.
 type ErrorBody struct {
 	Error string `json:"error"`
+}
+
+// ResultsDoc is one job's results under its key: the GET
+// /v1/results/{key} response body, and the body of a cluster replica
+// fill.
+type ResultsDoc struct {
+	Key     string        `json:"key"`
+	Results []core.Result `json:"results"`
 }
 
 // MaxRequestBody caps a POST /v1/run or /v1/sweep body. The largest
@@ -423,7 +432,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusNotFound, ErrorBody{"no cached result for key " + key})
 		return
 	}
-	ServeResult(w, r, key, map[string]any{"key": key, "results": rs}, s.ResultMaxAge)
+	ServeResult(w, r, key, ResultsDoc{Key: key, Results: rs}, s.ResultMaxAge)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

@@ -9,18 +9,6 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a simple monotonically increasing event counter.
-type Counter uint64
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { *c++ }
-
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) { *c += Counter(n) }
-
-// Value returns the current count.
-func (c Counter) Value() uint64 { return uint64(c) }
-
 // AtomicCounter is a monotonically increasing event counter safe for
 // concurrent use (the runner's cache and engine count from many
 // goroutines at once).

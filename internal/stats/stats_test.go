@@ -7,7 +7,7 @@ import (
 )
 
 func TestCounter(t *testing.T) {
-	var c Counter
+	var c AtomicCounter
 	c.Inc()
 	c.Add(4)
 	if c.Value() != 5 {

@@ -120,21 +120,8 @@ func TestAddrSpaceCodeDataDisjoint(t *testing.T) {
 	}
 }
 
-func TestLineAndPageAddr(t *testing.T) {
-	if LineAddr(0x12345) != 0x12340 {
-		t.Errorf("LineAddr: %#x", LineAddr(0x12345))
-	}
+func TestPageAddr(t *testing.T) {
 	if PageAddr(0x12345) != 0x12000 {
 		t.Errorf("PageAddr: %#x", PageAddr(0x12345))
-	}
-}
-
-func TestLineAddrProperty(t *testing.T) {
-	f := func(a uint64) bool {
-		l := LineAddr(a)
-		return l%CacheLineSize == 0 && l <= a && a-l < CacheLineSize
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

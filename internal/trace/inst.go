@@ -104,8 +104,5 @@ const CacheLineSize = 64
 // prefetch logic.
 const PageSize = 4096
 
-// LineAddr returns the cache-line-aligned address of a.
-func LineAddr(a uint64) uint64 { return a &^ uint64(CacheLineSize-1) }
-
 // PageAddr returns the 4KB-page-aligned address of a.
 func PageAddr(a uint64) uint64 { return a &^ uint64(PageSize-1) }
