@@ -57,13 +57,17 @@ partition-smoke:
 # against encoding/json, ValidKey against its regular expression, and
 # the peer replies to GET /v1/results/{key}, GET /v1/cluster/manifest
 # and POST /v1/cluster/shard; every body one node takes from another
-# is checked against encoding/json too. Go fuzzes one target per
-# invocation, hence one line per target. A run body's seed names 1,000
-# workloads (6 KB), a shard body carries a whole config (about 1 KB), a
-# cache entry a whole result list (about 2 KB) written to a fresh
-# directory per input, and a fill or peer reply a whole document;
-# minimizing each new input that large under the default budget would
-# take most of the run, so those seven targets cap it at 100 execs.
+# is checked against encoding/json too. A cache built over a reused,
+# dirty line array is checked against a fresh one. Go fuzzes one
+# target per invocation, hence one line per target. A run body's seed
+# names 1,000 workloads (6 KB), a shard body carries a whole config
+# (about 1 KB), a cache entry a whole result list (about 2 KB) written
+# to a fresh directory per input, and a fill or peer reply a whole
+# document; minimizing each new input that large under the default
+# budget would take most of the run. A recycled-cache input is small
+# but builds two hierarchies per exec, and minimizing stalled its run
+# after 3 s (9,798 execs in 10 s, 39,048 with the cap). So those eight
+# targets cap minimizing at 100 execs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRunRequest$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/runner
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 10s ./internal/fault
@@ -77,6 +81,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPeerResult$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzPeerManifest$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzShardReply$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzRecycledCache$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/cache
 
 # sample-smoke proves representative-interval sampling stays honest:
 # the fig13 grid run through a sampling engine must reproduce every
@@ -104,10 +109,12 @@ cluster-smoke:
 # chaos re-proves determinism under injected faults: seeded fault
 # schedules (disk errors, corrupt cache entries, panics, hangs, and a
 # kill followed by a re-run over the same cache) over real small
-# sweeps must produce byte-identical results vs the fault-free run.
-# Runs the runner's four TestChaos* tests; ~1s.
+# sweeps must produce byte-identical results vs the fault-free run,
+# as must a Run in which an attempt abandoned on timeout keeps
+# simulating on its LLC array while later jobs reuse arrays. Runs the
+# runner's five TestChaos* tests; ~3s.
 chaos:
-	$(call smoke,./internal/runner,TestChaosDeterminismUnderFaults TestChaosKillResumeCycle TestChaosHangRecoversViaTimeout TestChaosBatchHangFallsBack,-v)
+	$(call smoke,./internal/runner,TestChaosDeterminismUnderFaults TestChaosKillResumeCycle TestChaosHangRecoversViaTimeout TestChaosBatchHangFallsBack TestChaosAbandonedAttemptKeepsItsLLCArray,-v)
 
 # lint runs the in-repo static-analysis suite (see DESIGN.md,
 # "Static analysis"): determinism, hotpath-noalloc,

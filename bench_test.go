@@ -282,7 +282,10 @@ func BenchmarkSystemPrewarm(b *testing.B) {
 // dominates; at the paper's (200k after 100k) the run reaches far more
 // LLC sets, each placing its prewarmed lines on first touch. gcc
 // declares 39,360 resident lines; povray's 48 regions (193,536 lines)
-// overflow the LLC, the worst case for per-set placement.
+// overflow the LLC, the worst case for per-set placement. A fresh job
+// zeroes a new 3.4 MB LLC array, as a one-job Engine.Run does; a
+// recycled job builds its LLC over the previous job's array, as the
+// jobs of a sweep do, and clears each stale set on first touch.
 func BenchmarkSystemJob(b *testing.B) {
 	cfg, ok := experiments.ConfigByName("nol2-6.5-catch")
 	if !ok {
@@ -297,13 +300,25 @@ func BenchmarkSystemJob(b *testing.B) {
 			name          string
 			insts, warmup int64
 		}{{"6k", 6_000, 3_000}, {"200k", 200_000, 100_000}} {
-			b.Run(name+"/"+budget.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if res := core.NewSystem(cfg).RunST(w.NewGen(), budget.insts, budget.warmup); res.IPC <= 0 {
-						b.Fatal("no progress")
-					}
+			for _, recycled := range []bool{false, true} {
+				mode := "fresh"
+				if recycled {
+					mode = "recycled"
 				}
-			})
+				b.Run(name+"/"+budget.name+"/"+mode, func(b *testing.B) {
+					var sp *core.LLCSpare // nil builds a fresh LLC
+					if recycled {
+						sp = new(core.LLCSpare)
+						core.NewSystemReusing(cfg, sp).RunST(w.NewGen(), budget.insts, budget.warmup)
+						b.ResetTimer()
+					}
+					for i := 0; i < b.N; i++ {
+						if res := core.NewSystemReusing(cfg, sp).RunST(w.NewGen(), budget.insts, budget.warmup); res.IPC <= 0 {
+							b.Fatal("no progress")
+						}
+					}
+				})
+			}
 		}
 	}
 }

@@ -4,22 +4,34 @@ import "testing"
 
 // TestLookupFillAllocFree guards the cache hot path: once a cache is
 // built, Lookup (hit and miss), Fill (with and without eviction),
-// Probe and MarkDirty perform zero heap allocations.
+// Probe and MarkDirty perform zero heap allocations. The recycled
+// cache is built over a dirty array and fills only half its sets
+// first, so the measured calls also clear the other half on first
+// touch.
 func TestLookupFillAllocFree(t *testing.T) {
-	c := New(Config{Name: "L1D", Size: 32 << 10, Ways: 8, HitLat: 5})
-	for a := uint64(0); a < 64<<10; a += 64 {
-		c.Fill(a, 0, 5, false, PfNone)
-	}
-	addr := uint64(0)
-	if allocs := testing.AllocsPerRun(100, func() {
-		c.Lookup(addr)                              // one hit or miss
-		c.Lookup(addr + (1 << 30))                  // guaranteed miss
-		c.Fill(addr+(2<<20), 0, 5, false, PfStride) // eviction path
-		c.Probe(addr)
-		c.MarkDirty(addr)
-		addr += 64
-	}); allocs != 0 {
-		t.Errorf("cache hot path: %v allocs per op batch, want 0", allocs)
+	cfg := Config{Name: "L1D", Size: 32 << 10, Ways: 8, HitLat: 5}
+	for _, recycled := range []bool{false, true} {
+		c, warm := New(cfg), uint64(64<<10)
+		if recycled {
+			c, warm = NewOver(cfg, dirtyLines(2*512, 1<<10)), 32*64
+		}
+		for a := uint64(0); a < warm; a += 64 {
+			c.Fill(a, 0, 5, false, PfNone)
+		}
+		if recycled && !Deferred(c) {
+			t.Fatal("the recycled cache cleared every set before the measured calls")
+		}
+		addr := uint64(0)
+		if allocs := testing.AllocsPerRun(100, func() {
+			c.Lookup(addr)                              // one hit or miss
+			c.Lookup(addr + (1 << 30))                  // guaranteed miss
+			c.Fill(addr+(2<<20), 0, 5, false, PfStride) // eviction path
+			c.Probe(addr)
+			c.MarkDirty(addr)
+			addr += 64
+		}); allocs != 0 {
+			t.Errorf("cache hot path (recycled %v): %v allocs per op batch, want 0", recycled, allocs)
+		}
 	}
 }
 

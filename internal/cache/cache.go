@@ -86,7 +86,17 @@ func (c *Cache) PolicyName() string {
 }
 
 // New builds a cache from cfg. The set count is Size/(Ways*64).
-func New(cfg Config) *Cache {
+func New(cfg Config) *Cache { return NewOver(cfg, nil) }
+
+// NewOver is New over the storage of spare, a line array that an
+// earlier cache no longer uses (see Lines), when its capacity holds
+// the new cache's lines; a nil or smaller spare gets a fresh array.
+// Whatever a reused array holds is stale: every set starts pending in
+// a plan (see prewarmPlan), and the first Probe, Lookup or Fill that
+// reaches a set clears it, as PlacePrewarm clears every set, so the
+// cache behaves exactly as a fresh one while a short run zeroes only
+// the sets it touches.
+func NewOver(cfg Config, spare []Line) *Cache {
 	if cfg.Ways <= 0 {
 		cfg.Ways = 1
 	}
@@ -94,16 +104,22 @@ func New(cfg Config) *Cache {
 	if sets <= 0 {
 		sets = 1
 	}
-	c := &Cache{
-		Cfg:   cfg,
-		Sets:  sets,
-		lines: make([]Line, sets*cfg.Ways),
+	c := &Cache{Cfg: cfg, Sets: sets}
+	if n := sets * cfg.Ways; cap(spare) >= n {
+		c.lines = spare[:n]
+		c.plan = stalePlan(sets)
+	} else {
+		c.lines = make([]Line, n)
 	}
 	if sets&(sets-1) == 0 {
 		c.setMask = uint64(sets - 1)
 	}
 	return c
 }
+
+// Lines returns c's line array, for NewOver to build a later cache
+// over once c is no longer used.
+func (c *Cache) Lines() []Line { return c.lines }
 
 // lineTag converts an address to the line-granular tag used internally.
 func lineTag(addr uint64) uint64 { return addr >> 6 }

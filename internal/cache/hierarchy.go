@@ -540,12 +540,14 @@ func (h *Hierarchy) fillLLC(la uint64, fillTime int64, dirty bool, pf PrefetchID
 // that share no line and, for an inclusive LLC, no set receiving more
 // lines than it has ways, Prewarm only records a plan that Probe,
 // Lookup and Fill carry out one set at a time on first touch (see
-// prewarmPlan). Otherwise it walks every line now: each set holds only
-// lines this call installed, none touched twice, so LRU evicts them
-// oldest first and the k-th line a set receives lands in way k mod
-// Ways without a victim scan; a full set under an RRIP policy takes
-// the ordinary fill path, whose victim depends on the set's aging
-// state, and an inclusive LLC back-invalidates each victim.
+// prewarmPlan); on an LLC built over a reused array the plan also
+// clears each stale set then. Otherwise it clears every stale set and
+// walks every line now: each set holds only lines this call
+// installed, none touched twice, so LRU evicts them oldest first and
+// the k-th line a set receives lands in way k mod Ways without a
+// victim scan; a full set under an RRIP policy takes the ordinary fill
+// path, whose victim depends on the set's aging state, and an
+// inclusive LLC back-invalidates each victim.
 func (h *Hierarchy) Prewarm(regs []trace.Region) {
 	if len(regs) == 0 {
 		return
@@ -557,6 +559,7 @@ func (h *Hierarchy) Prewarm(regs []trace.Region) {
 	if c.policy == nil && c.planPrewarm(regs, h.Inclusive) {
 		return
 	}
+	c.PlacePrewarm() // the walk reads ways it has not written
 	ways := c.Cfg.Ways
 	received := make([]int32, c.Sets) // lines installed in each set so far
 	for _, r := range regs {

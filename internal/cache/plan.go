@@ -2,6 +2,7 @@ package cache
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 
 	"catch/internal/trace"
@@ -13,6 +14,12 @@ import (
 // every line would, but writes no line. Probe, Lookup and Fill place a
 // set's share of the plan the first time they touch that set, so a set
 // the run never reaches is never written.
+//
+// A cache built over a reused line array (NewOver) holds a plan from
+// the start, with every set pending and stale set: placing a set then
+// first clears whatever an earlier cache left in it, so a set is
+// zeroed only when the run reaches it. Prewarm adds its runs to that
+// plan; with no prewarm the plan only clears.
 //
 // Deferring is exact when a set's prewarmed state is a function of its
 // own lines alone, which Prewarm checks before it plans: the built-in
@@ -31,6 +38,17 @@ type prewarmPlan struct {
 	runs    []lineRun //catch:nosnap a snapshot holds no plan
 	pending []uint64  //catch:nosnap a snapshot holds no plan; one bit per set whose lines are not yet placed
 	left    int       //catch:nosnap a snapshot holds no plan; pending sets, the plan is dropped at zero
+	stale   bool      //catch:nosnap a snapshot holds no plan; pending sets hold an earlier cache's lines
+}
+
+// stalePlan returns the plan of a cache of sets sets built over a
+// reused line array: every set pending, none yet cleared.
+func stalePlan(sets int) *prewarmPlan {
+	p := &prewarmPlan{pending: make([]uint64, (sets+63)/64), left: sets, stale: true}
+	for s := 0; s < sets; s += 64 {
+		p.pending[s>>6] = ^uint64(0) >> max(s+64-sets, 0)
+	}
+	return p
 }
 
 // lineRun is one region's lines: consecutive tags from tag, the first
@@ -48,7 +66,10 @@ type lineRun struct {
 // records nothing and reports false when deferring would not be exact:
 // when two regions share a line, or when inclusive is set and some set
 // receives more lines than it has ways. c must be untouched and use
-// the built-in LRU.
+// the built-in LRU. On a reused array the runs join the stale plan
+// NewOver made, whose every set is still pending unless a Probe or a
+// Lookup already cleared it; such a set is pending again, since it is
+// as empty as a fresh one.
 func (c *Cache) planPrewarm(regs []trace.Region, inclusive bool) bool {
 	type span struct{ lo, hi uint64 } // a run's tags [lo, hi)
 	runs := make([]lineRun, 0, len(regs))
@@ -89,17 +110,17 @@ func (c *Cache) planPrewarm(regs []trace.Region, inclusive bool) bool {
 			diff[end-c.Sets]--
 		}
 	}
-	p := &prewarmPlan{runs: runs, pending: make([]uint64, (c.Sets+63)/64)}
+	receiving := make([]uint64, (c.Sets+63)/64) // one bit per set that receives a line
 	var evictions uint64
-	extra := 0
+	extra, n := 0, 0
 	for s := 0; s < c.Sets; s++ {
 		extra += int(diff[s])
 		received := base + extra
 		if received == 0 {
 			continue
 		}
-		p.pending[s>>6] |= 1 << (s & 63)
-		p.left++
+		receiving[s>>6] |= 1 << (s & 63)
+		n++
 		if received > c.Cfg.Ways {
 			evictions += uint64(received - c.Cfg.Ways)
 		}
@@ -107,8 +128,15 @@ func (c *Cache) planPrewarm(regs []trace.Region, inclusive bool) bool {
 	if inclusive && evictions > 0 {
 		return false
 	}
-	if p.left > 0 {
-		c.plan = p
+	switch p := c.plan; {
+	case p != nil: // a reused array's stale plan
+		p.runs = runs
+		for w, b := range receiving {
+			p.left += bits.OnesCount64(b &^ p.pending[w])
+			p.pending[w] |= b
+		}
+	case n > 0:
+		c.plan = &prewarmPlan{runs: runs, pending: receiving, left: n}
 	}
 	c.tick = pos
 	c.Stats.Fills += uint64(pos)
@@ -127,13 +155,16 @@ func (c *Cache) placeSet(s int) {
 		return
 	}
 	p.pending[word] &^= bit
+	if p.stale {
+		clear(c.lines[s*c.Cfg.Ways : (s+1)*c.Cfg.Ways])
+	}
 	p.place(c, s)
 	if p.left--; p.left == 0 {
 		c.plan = nil
 	}
 }
 
-// place writes set s's lines into the untouched set.
+// place writes set s's lines into the untouched or cleared set.
 //
 //catch:hotpath
 func (p *prewarmPlan) place(c *Cache, s int) {
@@ -176,11 +207,12 @@ func (r *lineRun) inSet(s, sets int) (off, n int) {
 }
 
 // PlacePrewarm places every set that a deferred LLC prewarm has not
-// yet reached, leaving the cache exactly as an eager prewarm would.
-// Reads through Probe, Lookup and Fill never need it: they place a
-// set before they look at it. It is for code that reads the whole
-// line array at once, such as the snapshot codec and state
-// comparisons in tests.
+// yet reached, and clears every stale set of a reused array first,
+// leaving the cache exactly as an eager prewarm into a fresh array
+// would. Reads through Probe, Lookup and Fill never need it: they
+// place a set before they look at it. It is for code that reads the
+// whole line array at once, such as Prewarm's eager walk, the
+// snapshot codec and state comparisons in tests.
 func (c *Cache) PlacePrewarm() {
 	for s := 0; c.plan != nil && s < c.Sets; s++ {
 		c.placeSet(s)

@@ -11,14 +11,26 @@ import (
 // steadyStateAllocs warms a system up on a workload, then measures heap
 // allocations across further simulation batches. A non-nil tracer is
 // attached before warmup (the telemetry instrumentation must keep the
-// kernel allocation-free whether tracing is off or on).
-func steadyStateAllocs(t *testing.T, cfg config.SystemConfig, workload string, tr *telemetry.Tracer) float64 {
+// kernel allocation-free whether tracing is off or on). A recycled
+// system is built over the LLC array of a finished job on a config
+// with twice the LLC, so its first touches also clear stale sets.
+func steadyStateAllocs(t *testing.T, cfg config.SystemConfig, workload string, tr *telemetry.Tracer, recycled bool) float64 {
 	t.Helper()
 	w, ok := workloads.ByName(workload)
 	if !ok {
 		t.Fatalf("workload %s", workload)
 	}
-	sys := NewSystem(cfg)
+	var sp *LLCSpare
+	if recycled {
+		donor := cfg
+		donor.LLCSize *= 2
+		sp = new(LLCSpare)
+		NewSystemReusing(donor, sp).RunST(w.NewGen(), 5_000, 1_000)
+	}
+	sys := NewSystemReusing(cfg, sp)
+	if recycled && sp.TakeReuses() != 1 {
+		t.Fatalf("%s: the system did not reuse the donor's LLC array", cfg.Name)
+	}
 	if tr != nil {
 		sys.AttachTracer(tr)
 	}
@@ -34,8 +46,10 @@ func steadyStateAllocs(t *testing.T, cfg config.SystemConfig, workload string, t
 // the allocation-free kernel: once warm, simulating an instruction on
 // the baseline configuration performs zero heap allocations.
 func TestRunSTSteadyStateAllocsBaseline(t *testing.T) {
-	if allocs := steadyStateAllocs(t, config.BaselineExclusive(), "hmmer", nil); allocs != 0 {
-		t.Errorf("baseline steady-state RunST: %v allocs per 10k-inst batch, want 0", allocs)
+	for _, recycled := range []bool{false, true} {
+		if allocs := steadyStateAllocs(t, config.BaselineExclusive(), "hmmer", nil, recycled); allocs != 0 {
+			t.Errorf("baseline steady-state RunST (recycled %v): %v allocs per 10k-inst batch, want 0", recycled, allocs)
+		}
 	}
 }
 
@@ -43,8 +57,10 @@ func TestRunSTSteadyStateAllocsBaseline(t *testing.T) {
 // criticality detector and all TACT prefetchers active.
 func TestRunSTSteadyStateAllocsCATCH(t *testing.T) {
 	cfg := config.WithCATCH(config.BaselineExclusive(), "catch")
-	if allocs := steadyStateAllocs(t, cfg, "hmmer", nil); allocs != 0 {
-		t.Errorf("CATCH steady-state RunST: %v allocs per 10k-inst batch, want 0", allocs)
+	for _, recycled := range []bool{false, true} {
+		if allocs := steadyStateAllocs(t, cfg, "hmmer", nil, recycled); allocs != 0 {
+			t.Errorf("CATCH steady-state RunST (recycled %v): %v allocs per 10k-inst batch, want 0", recycled, allocs)
+		}
 	}
 }
 
@@ -55,8 +71,10 @@ func TestRunSTSteadyStateAllocsWithDisabledTracer(t *testing.T) {
 	cfg := config.WithCATCH(config.BaselineExclusive(), "catch")
 	tr := telemetry.NewTracer(telemetry.TracerConfig{BufferEvents: 1 << 10})
 	tr.SetEnabled(false)
-	if allocs := steadyStateAllocs(t, cfg, "hmmer", tr); allocs != 0 {
-		t.Errorf("disabled-tracer steady-state RunST: %v allocs per 10k-inst batch, want 0", allocs)
+	for _, recycled := range []bool{false, true} {
+		if allocs := steadyStateAllocs(t, cfg, "hmmer", tr, recycled); allocs != 0 {
+			t.Errorf("disabled-tracer steady-state RunST (recycled %v): %v allocs per 10k-inst batch, want 0", recycled, allocs)
+		}
 	}
 	if tr.Len() != 0 {
 		t.Errorf("disabled tracer recorded %d events, want 0", tr.Len())
@@ -69,8 +87,10 @@ func TestRunSTSteadyStateAllocsWithDisabledTracer(t *testing.T) {
 func TestRunSTSteadyStateAllocsWithEnabledTracer(t *testing.T) {
 	cfg := config.WithCATCH(config.BaselineExclusive(), "catch")
 	tr := telemetry.NewTracer(telemetry.TracerConfig{BufferEvents: 1 << 12, SampleEvery: 8})
-	if allocs := steadyStateAllocs(t, cfg, "hmmer", tr); allocs != 0 {
-		t.Errorf("enabled-tracer steady-state RunST: %v allocs per 10k-inst batch, want 0", allocs)
+	for _, recycled := range []bool{false, true} {
+		if allocs := steadyStateAllocs(t, cfg, "hmmer", tr, recycled); allocs != 0 {
+			t.Errorf("enabled-tracer steady-state RunST (recycled %v): %v allocs per 10k-inst batch, want 0", recycled, allocs)
+		}
 	}
 	if tr.Len() == 0 {
 		t.Error("enabled tracer recorded no events")
@@ -88,8 +108,10 @@ func TestRunSTSteadyStateAllocsAcrossWorkloads(t *testing.T) {
 		if _, ok := workloads.ByName(w); !ok {
 			continue
 		}
-		if allocs := steadyStateAllocs(t, cfg, w, nil); allocs != 0 {
-			t.Errorf("%s: %v allocs per 10k-inst batch, want 0", w, allocs)
+		for _, recycled := range []bool{false, true} {
+			if allocs := steadyStateAllocs(t, cfg, w, nil, recycled); allocs != 0 {
+				t.Errorf("%s (recycled %v): %v allocs per 10k-inst batch, want 0", w, recycled, allocs)
+			}
 		}
 	}
 }

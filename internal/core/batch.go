@@ -23,6 +23,14 @@ const batchChunk = 1024
 // runs over an equivalent replay while the per-instruction trace work
 // is amortized len(cfgs) ways.
 func RunBatch(m *trace.Materialized, cfgs []config.SystemConfig, insts, warmup int64) ([]Result, error) {
+	return RunBatchReusing(m, cfgs, insts, warmup, nil)
+}
+
+// RunBatchReusing is RunBatch with the system of cfgs[k] built by
+// NewSystemReusing over spares[k] (a nil or missing spare builds a
+// fresh LLC). As there, hand a spare on only once the call has
+// returned normally.
+func RunBatchReusing(m *trace.Materialized, cfgs []config.SystemConfig, insts, warmup int64, spares []*LLCSpare) ([]Result, error) {
 	if insts <= 0 {
 		return nil, fmt.Errorf("core: batch insts must be positive, got %d", insts)
 	}
@@ -42,7 +50,11 @@ func RunBatch(m *trace.Materialized, cfgs []config.SystemConfig, insts, warmup i
 	}
 	sims := make([]*System, len(cfgs))
 	for k := range cfgs {
-		sims[k] = NewSystem(cfgs[k])
+		var sp *LLCSpare
+		if k < len(spares) {
+			sp = spares[k]
+		}
+		sims[k] = NewSystemReusing(cfgs[k], sp)
 		sims[k].Sims[0].SetWorkload(m.NewReplay())
 	}
 	for base := int64(0); base < warmup; base += batchChunk {

@@ -53,15 +53,51 @@ type CoreSim struct {
 }
 
 // NewSystem builds a system from cfg.
-func NewSystem(cfg config.SystemConfig) *System {
+func NewSystem(cfg config.SystemConfig) *System { return NewSystemReusing(cfg, nil) }
+
+// An LLCSpare carries an LLC line array from a system whose run has
+// returned to the next system built, so a run of jobs does not zero a
+// fresh 3.4–5 MB array per job (see cache.NewOver). Only the LLC's
+// array travels; private caches are small and always fresh.
+type LLCSpare struct {
+	lines  []cache.Line
+	reuses uint64
+}
+
+// TakeReuses returns how many systems were built over an array the
+// spare already held since the last call, and restarts the count.
+func (sp *LLCSpare) TakeReuses() uint64 {
+	n := sp.reuses
+	sp.reuses = 0
+	return n
+}
+
+// NewSystemReusing is NewSystem with the LLC built over sp's array
+// when it is large enough, and over a fresh one otherwise. sp then
+// holds the new system's LLC array: hand sp to the next system only
+// once this one's run has returned normally, never while an abandoned
+// or panicked run may still touch the array. A nil sp builds a fresh
+// LLC.
+func NewSystemReusing(cfg config.SystemConfig, sp *LLCSpare) *System {
 	if cfg.Cores <= 0 {
 		cfg.Cores = 1
 	}
+	llc := cache.Config{Name: "LLC", Size: cfg.LLCSize, Ways: cfg.LLCWays, HitLat: cfg.LLCLat}
 	s := &System{
 		Cfg:  cfg,
-		LLC:  cache.New(cache.Config{Name: "LLC", Size: cfg.LLCSize, Ways: cfg.LLCWays, HitLat: cfg.LLCLat}),
 		Mem:  memory.New(cfg.DRAM),
 		Ring: interconnect.New(cfg.RingStops, cfg.RingHopLat),
+	}
+	if sp == nil {
+		s.LLC = cache.New(llc)
+	} else {
+		spare, held := sp.lines, cap(sp.lines)
+		sp.lines = nil // a spare too small must be garbage before its replacement is allocated
+		s.LLC = cache.NewOver(llc, spare)
+		sp.lines = s.LLC.Lines()
+		if cap(sp.lines) == held { // a fresh array is exactly as long as the LLC, longer than the spare
+			sp.reuses++
+		}
 	}
 	s.LLC.SetPolicy(cfg.LLCPolicy)
 	for i := 0; i < cfg.Cores; i++ {

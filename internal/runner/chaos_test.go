@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -104,8 +105,8 @@ func TestChaosKillResumeCycle(t *testing.T) {
 	defer cancel()
 	var sims atomic.Int32
 	inner := e1.simulate
-	e1.simulate = func(j *Job) ([]core.Result, error) {
-		rs, err := inner(j)
+	e1.simulate = func(j *Job, sp *core.LLCSpare) ([]core.Result, error) {
+		rs, err := inner(j, sp)
 		if sims.Add(1) == 2 {
 			cancel() // the "kill": the first job is already cached
 		}
@@ -201,5 +202,63 @@ func TestChaosBatchHangFallsBack(t *testing.T) {
 	}
 	if n := e.Batched(); n != 0 {
 		t.Fatalf("batched = %d, want 0: the hung unit must not report results", n)
+	}
+}
+
+// TestChaosAbandonedAttemptKeepsItsLLCArray: an attempt abandoned on
+// timeout in the middle of its simulation keeps writing to its LLC
+// array, so the engine must never hand that array to a later job. The
+// victim's first attempt builds its system over the spare it was
+// given and warms it up, then waits until the engine has timed it out
+// and retried, and finishes its simulation while the retry and the
+// later jobs run, which reuse arrays. Under -race a shared array is a
+// reported race; in any build the Run's results must be byte-identical
+// to a fault-free run's.
+func TestChaosAbandonedAttemptKeepsItsLLCArray(t *testing.T) {
+	jobs := testJobs()
+	slices.Reverse(jobs) // largest LLC first, so every spare fits
+	ref := flattenJSON(t, New(Options{Workers: 1}), context.Background(), jobs)
+
+	victim := jobs[2].Key()
+	retried := make(chan struct{})   // closed when the victim's retry starts
+	abandoned := make(chan struct{}) // closed when the abandoned attempt returns
+	var victimAttempts atomic.Int32
+	// The timeout fires only on the first attempt, which waits for the
+	// retry: generous enough that a loaded -race run finishes every
+	// other attempt inside it.
+	e := New(Options{Workers: 1, Timeout: time.Second, Retries: 1})
+	inner := e.simulate
+	e.simulate = func(j *Job, sp *core.LLCSpare) ([]core.Result, error) {
+		if j.Key() != victim {
+			return inner(j, sp)
+		}
+		if victimAttempts.Add(1) > 1 {
+			close(retried)
+			return inner(j, sp)
+		}
+		defer close(abandoned)
+		gens, err := j.gens()
+		if err != nil {
+			return nil, err
+		}
+		sys := core.NewSystemReusing(j.Config, sp)
+		sys.WarmupST(gens[0], j.Warmup)
+		<-retried
+		win := sys.BeginMeasure()
+		sys.StepST(j.Insts)
+		return []core.Result{sys.EndMeasure(win)}, nil
+	}
+	got := flattenJSON(t, e, context.Background(), jobs)
+	<-abandoned
+	if string(got) != string(ref) {
+		t.Fatal("results after an abandoned attempt diverged from the fault-free run")
+	}
+	if n := victimAttempts.Load(); n != 2 {
+		t.Fatalf("victim ran %d attempts, want 2 (one abandoned, one retry)", n)
+	}
+	// Job 0 and the retry allocate; the abandoned attempt's reuse is
+	// never counted, since its spare never comes back.
+	if n, want := e.LLCReused(), uint64(len(jobs)-2); n != want {
+		t.Fatalf("LLC arrays reused = %d, want %d", n, want)
 	}
 }

@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"catch/internal/cache"
 	"catch/internal/config"
 	"catch/internal/core"
 	"catch/internal/telemetry"
@@ -100,7 +102,7 @@ func TestTimeoutAndRetries(t *testing.T) {
 	e := New(Options{Workers: 1, Timeout: 10 * time.Millisecond, Retries: 2})
 	var calls atomic.Int32
 	block := make(chan struct{})
-	e.simulate = func(*Job) ([]core.Result, error) {
+	e.simulate = func(*Job, *core.LLCSpare) ([]core.Result, error) {
 		calls.Add(1)
 		<-block
 		return []core.Result{{}}, nil
@@ -121,7 +123,7 @@ func TestTimeoutAndRetries(t *testing.T) {
 func TestRetrySucceedsAfterTransientFailure(t *testing.T) {
 	e := New(Options{Workers: 1, Retries: 1})
 	var calls int
-	e.simulate = func(*Job) ([]core.Result, error) {
+	e.simulate = func(*Job, *core.LLCSpare) ([]core.Result, error) {
 		calls++
 		if calls == 1 {
 			return nil, errors.New("transient")
@@ -177,7 +179,7 @@ func TestEngineMetricsCountRetriesAndFailures(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	e := New(Options{Workers: 1, Retries: 1, Metrics: reg})
 	var tries atomic.Int32
-	e.simulate = func(j *Job) ([]core.Result, error) {
+	e.simulate = func(j *Job, _ *core.LLCSpare) ([]core.Result, error) {
 		if j.Workloads[0] == "mcf" && tries.Add(1) == 1 {
 			return nil, errors.New("transient")
 		}
@@ -273,12 +275,12 @@ func TestCancelMidSweepMarksCanceledAndResumeCompletes(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	ran := 0
 	inner := e1.simulate
-	e1.simulate = func(j *Job) ([]core.Result, error) {
+	e1.simulate = func(j *Job, sp *core.LLCSpare) ([]core.Result, error) {
 		ran++
 		if ran == 2 {
 			cancel() // interrupt after the second job starts
 		}
-		return inner(j)
+		return inner(j, sp)
 	}
 	first := e1.Run(ctx, jobs)
 
@@ -327,12 +329,12 @@ func TestDrainStopsFeedingAndMarksCanceled(t *testing.T) {
 	e := New(Options{Workers: 1})
 	inner := e.simulate
 	first := true
-	e.simulate = func(j *Job) ([]core.Result, error) {
+	e.simulate = func(j *Job, sp *core.LLCSpare) ([]core.Result, error) {
 		if first { // drain mid-flight, from inside the first running job
 			first = false
 			e.Drain()
 		}
-		return inner(j)
+		return inner(j, sp)
 	}
 	rs := e.Run(context.Background(), jobs)
 	if !e.Draining() {
@@ -365,7 +367,7 @@ func TestPanicCapturesStackAndLogsOnce(t *testing.T) {
 			logs = append(logs, strings.Split(strings.TrimSpace(format), "\n")[0])
 		},
 	})
-	e.simulate = func(*Job) ([]core.Result, error) { panic("boom at cycle 42") }
+	e.simulate = func(*Job, *core.LLCSpare) ([]core.Result, error) { panic("boom at cycle 42") }
 	rs := e.Run(context.Background(), []Job{STJob(config.BaselineExclusive(), "hmmer", tInsts, tWarmup)})
 	if rs[0].Status != StatusFailed || !strings.Contains(rs[0].Err, "job panicked: boom at cycle 42") {
 		t.Fatalf("result = %+v", rs[0])
@@ -376,5 +378,69 @@ func TestPanicCapturesStackAndLogsOnce(t *testing.T) {
 	// Three attempts panicked; the stack is logged exactly once.
 	if len(logs) != 1 {
 		t.Fatalf("panic logged %d times, want 1: %v", len(logs), logs)
+	}
+}
+
+// TestRunReusesLLCArrays pins the scope of LLC array reuse. An N-job
+// Run on W workers builds at most W arrays, so it reuses at least N-W
+// (the jobs run largest LLC first, so every spare fits); a batch Run
+// hands a finished unit's arrays to the next unit; a one-job Run, such
+// as every catchd /v1/run, makes no spare list and so reuses nothing,
+// however often it repeats. Every result equals a fresh system's.
+func TestRunReusesLLCArrays(t *testing.T) {
+	jobs := testJobs()
+	slices.Reverse(jobs) // the 6.5 MB noL2 LLC first, then the 5.5 MB baseline's
+	want := make([]string, len(jobs))
+	for i := range jobs {
+		rs, err := jobs[i].Execute()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = string(b)
+	}
+	for _, w := range []int{1, 2, 3} {
+		e := New(Options{Workers: w})
+		if got := resultJSON(t, e.Run(context.Background(), jobs)); !slices.Equal(got, want) {
+			t.Fatalf("%d workers: results over reused LLC arrays differ from fresh systems'", w)
+		}
+		if n := e.LLCReused(); n < uint64(len(jobs)-w) {
+			t.Errorf("%d workers: %d-job Run reused %d LLC arrays, want at least %d", w, len(jobs), n, len(jobs)-w)
+		}
+	}
+
+	// Two batch units of three configs sharing one LLC geometry: the
+	// second reuses all three of the first's arrays.
+	base := config.BaselineExclusive()
+	cfgs := []config.SystemConfig{base, config.WithCATCH(base, "catch"), config.WithLatencyDelta(base, cache.HitLLC, 6, "llc+6")}
+	var batch []Job
+	for _, name := range []string{"hmmer", "mcf"} {
+		for _, cfg := range cfgs {
+			batch = append(batch, STJob(cfg, name, tInsts, tWarmup))
+		}
+	}
+	e := New(Options{Workers: 1, Batch: true})
+	e.Run(context.Background(), batch)
+	if e.Batched() != uint64(len(batch)) || e.LLCReused() != uint64(len(cfgs)) {
+		t.Errorf("batch Run: %d jobs batched, %d LLC arrays reused; want %d and %d", e.Batched(), e.LLCReused(), len(batch), len(cfgs))
+	}
+
+	e = New(Options{Workers: 2, Batch: true})
+	inner := e.simulate
+	var spared atomic.Int32
+	e.simulate = func(j *Job, sp *core.LLCSpare) ([]core.Result, error) {
+		if sp != nil {
+			spared.Add(1)
+		}
+		return inner(j, sp)
+	}
+	for i := 0; i < 3; i++ {
+		e.Run(context.Background(), jobs[i:i+1])
+	}
+	if n, m := spared.Load(), e.LLCReused(); n != 0 || m != 0 {
+		t.Errorf("one-job Runs handed %d spares out and reused %d LLC arrays, want 0 and 0", n, m)
 	}
 }

@@ -152,7 +152,12 @@ func (e *PanicError) Error() string { return fmt.Sprintf("job panicked: %v", e.V
 // Result per workload. A fresh system per job keeps results
 // deterministic (no warm state leaks between jobs) and keeps the
 // non-goroutine-safe System private to the calling worker.
-func (j *Job) Execute() (rs []core.Result, err error) {
+func (j *Job) Execute() ([]core.Result, error) { return j.execute(nil) }
+
+// execute is Execute with the system's LLC built over sp's array (see
+// core.NewSystemReusing); a reused array starts the job in exactly the
+// state a fresh one would.
+func (j *Job) execute(sp *core.LLCSpare) (rs []core.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			rs, err = nil, &PanicError{Value: p, Stack: debug.Stack()}
@@ -166,7 +171,7 @@ func (j *Job) Execute() (rs []core.Result, err error) {
 	if len(gens) > 1 && cfg.Cores < len(gens) {
 		cfg.Cores = len(gens)
 	}
-	sys := core.NewSystem(cfg)
+	sys := core.NewSystemReusing(cfg, sp)
 	if len(gens) == 1 {
 		return []core.Result{sys.RunST(gens[0], j.Insts, j.Warmup)}, nil
 	}
