@@ -95,16 +95,21 @@ sample-smoke:
 # batch-smoke proves the lock-step batch kernel preserves determinism:
 # the fig13 experiment run through a batching engine must hash to the
 # same committed golden value as the scalar run, while actually taking
-# the batch path.
+# the batch path. It also pins that a batch Run keeps no trace: after
+# 2 configs x 8 workloads at 60k instructions after 30k, a still
+# referenced engine holds less than one recording of live heap.
 batch-smoke:
-	$(call smoke,./internal/experiments,TestBatchSmokeFig13)
+	$(call smoke,./internal/experiments,TestBatchSmokeFig13 TestBatchRunKeepsNoTrace)
 
 # cluster-smoke proves the distribution layer preserves determinism: a
 # 3-node in-memory cluster shards a sweep over the ring and the
 # Flattened output must be byte-identical to the single-node run, with
-# the chaos variants (dead peer, injected peer faults) alongside.
+# the chaos variants (dead peer, injected peer faults, a draining peer
+# whose shard is rerouted) alongside, and the cluster sweep takes the
+# single-node admission (shed while draining, cut by the request
+# timeout).
 cluster-smoke:
-	$(call smoke,./internal/cluster,TestClusterSmoke TestClusterKillOnePeer TestClusterPeerFaultInjection)
+	$(call smoke,./internal/cluster,TestClusterSmoke TestClusterKillOnePeer TestClusterPeerFaultInjection TestClusterSweepSkipsDrainingPeer TestClusterSweepAdmission)
 
 # chaos re-proves determinism under injected faults: seeded fault
 # schedules (disk errors, corrupt cache entries, panics, hangs, and a

@@ -151,7 +151,7 @@ func main() {
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "simulation worker goroutines")
 		jsonOut  = flag.Bool("json", false, "emit tables as JSON instead of text")
 		cacheDir = flag.String("cache", "", "result cache directory (empty = in-memory only); a re-run over it computes only the missing jobs")
-		batch    = flag.Bool("batch", false, "lock-step configurations sharing a workload through one memoized trace (results are byte-identical to scalar)")
+		batch    = flag.Bool("batch", false, "lock-step configurations sharing a workload through one generator (results are byte-identical to scalar)")
 
 		sampleOn = flag.Bool("sample", false, "representative-interval sampling: measure only clustered representatives on a system warmed in place (approximate results with error bars)")
 		sampleIv = flag.Int64("sample-interval", 0, "sampling interval length in instructions (0 derives -insts/16; must divide -insts)")

@@ -27,10 +27,11 @@
 // only the missing ones execute.
 //
 // -batch executes single-thread jobs sharing a (workload, -n, -warmup)
-// key through the lock-step batch kernel: the instruction trace is
-// generated once per workload and every configuration steps through the
-// shared recording. Results and cache keys are byte-identical to the
-// scalar path — batching is purely an execution strategy.
+// key through the lock-step batch kernel: one generator of the workload
+// feeds every configuration, a chunk at a time, so the instruction
+// stream is generated once per batch and never recorded. Results and
+// cache keys are byte-identical to the scalar path — batching is
+// purely an execution strategy.
 //
 // -sample resolves eligible jobs by representative-interval sampling:
 // the workload is profiled once, intervals cluster into -sample-k
@@ -181,7 +182,7 @@ func main() {
 		dumpCrit    = flag.Bool("dump-critpath", false, "print the recorded critical-path walks as a table; single job only")
 
 		cacheDir = flag.String("cache", "", "result cache directory (empty = in-memory only); re-running an interrupted sweep over it computes only the missing jobs")
-		batch    = flag.Bool("batch", false, "lock-step configurations sharing a workload through one memoized trace (results are byte-identical to scalar)")
+		batch    = flag.Bool("batch", false, "lock-step configurations sharing a workload through one generator (results are byte-identical to scalar)")
 
 		sampleOn = flag.Bool("sample", false, "representative-interval sampling: profile, cluster, warm in place, simulate only representatives (extrapolated results carry error bars)")
 		sampleIv = flag.Int64("sample-interval", 0, "sampling interval length in instructions (0 derives -n/16; must divide -n)")

@@ -90,15 +90,26 @@ type manifestDoc struct {
 }
 
 // Handler builds the route table. The cluster routes shadow the inner
-// handler's; unmatched requests delegate.
+// handler's; unmatched requests delegate. When Inner is the handler a
+// runner.Server built, the sweep goes through that server's admission
+// (drain shedding, the in-flight limiter, the request timeout), as a
+// single node's does. Shards do not: a coordinator holds its slot
+// while it waits on its peers' shards, so two saturated coordinators
+// would wait on each other.
 func (s *Server) Handler() http.Handler {
+	sweep := s.handleSweep
+	if a, ok := s.Inner.(interface {
+		Admit(http.HandlerFunc) http.HandlerFunc
+	}); ok {
+		sweep = a.Admit(sweep)
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/cluster/status", s.handleStatus)
 	mux.HandleFunc("GET /v1/cluster/ping", s.handlePing)
 	mux.HandleFunc("GET /v1/cluster/manifest", s.handleManifest)
 	mux.HandleFunc("POST /v1/cluster/shard", s.handleShard)
 	mux.HandleFunc("POST /v1/cluster/fill", s.handleFill)
-	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
+	mux.HandleFunc("POST /v1/sweep", sweep)
 	mux.HandleFunc("GET /v1/results/{key}", s.handleResult)
 	if s.Inner != nil {
 		mux.Handle("/", s.Inner)
@@ -162,8 +173,16 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	runner.ServeResult(w, r, key, runner.ResultsDoc{Key: key, Results: rs}, s.ResultMaxAge)
 }
 
-// handleShard executes one sweep shard on the local engine.
+// handleShard executes one sweep shard on the local engine. A draining
+// engine would hand every job back canceled, so a draining node sheds
+// the shard with 503 + Retry-After instead: the coordinator reroutes
+// it, and its breaker and prober count the node alive.
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
+	if s.Node.opts.Engine.Draining() {
+		w.Header().Set("Retry-After", "1")
+		runner.WriteJSON(w, http.StatusServiceUnavailable, runner.ErrorBody{Error: "node is draining"})
+		return
+	}
 	jobs, err := decodeShard(r.Body, s.Resolve)
 	if err != nil {
 		runner.WriteJSON(w, http.StatusBadRequest, runner.ErrorBody{Error: err.Error()})

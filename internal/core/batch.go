@@ -7,43 +7,37 @@ import (
 	"catch/internal/trace"
 )
 
-// batchChunk is the lock-step granularity: each system consumes this
-// many instructions of the shared trace before the kernel switches to
-// the next system. Large enough to amortize re-entering a system's
-// working set into the host caches, small enough that the active trace
-// window stays resident across all systems in the batch.
+// batchChunk is the lock-step granularity: the kernel pulls this many
+// instructions from the generator, then steps each system through them
+// before pulling the next chunk. Large enough to amortize re-entering a
+// system's working set into the host caches, small enough that the
+// chunk stays resident across all systems in the batch.
 const batchChunk = 1024
 
-// RunBatch steps one private System per configuration through the same
-// materialized trace in lock-step, reproducing RunST's semantics
-// exactly for each: prewarm, `warmup` warmup instructions, a stats
-// reset at the warmup boundary, then `insts` measured instructions.
-// The trace is decoded once for the whole batch instead of once per
-// configuration, so results are byte-identical to per-config RunST
-// runs over an equivalent replay while the per-instruction trace work
-// is amortized len(cfgs) ways.
+// RunBatch is RunBatchReusing over a replay of the recording m, with
+// fresh LLCs. A recording shorter than warmup + insts is an error.
 func RunBatch(m *trace.Materialized, cfgs []config.SystemConfig, insts, warmup int64) ([]Result, error) {
-	return RunBatchReusing(m, cfgs, insts, warmup, nil)
+	return RunBatchReusing(m.NewReplay(), cfgs, insts, warmup, nil)
 }
 
-// RunBatchReusing is RunBatch with the system of cfgs[k] built by
-// NewSystemReusing over spares[k] (a nil or missing spare builds a
-// fresh LLC). As there, hand a spare on only once the call has
-// returned normally.
-func RunBatchReusing(m *trace.Materialized, cfgs []config.SystemConfig, insts, warmup int64, spares []*LLCSpare) ([]Result, error) {
+// RunBatchReusing steps one private System per configuration through
+// gen's stream in lock-step, reproducing RunST's semantics exactly for
+// each: prewarm, `warmup` warmup instructions, a stats reset at the
+// warmup boundary, then `insts` measured instructions. Only the kernel
+// calls gen.Next, one chunk ahead of the systems; each system takes gen
+// as its workload for naming, prewarm regions and ValueAt, whose values
+// are pure functions of the address. So results are byte-identical to
+// per-config RunST runs, and the stream is generated once per batch and
+// never held whole. The system of cfgs[k] is built by NewSystemReusing
+// over spares[k] (a nil or missing spare builds a fresh LLC); as there,
+// hand a spare on only once the call has returned normally.
+func RunBatchReusing(gen trace.Generator, cfgs []config.SystemConfig, insts, warmup int64, spares []*LLCSpare) ([]Result, error) {
 	if insts <= 0 {
 		return nil, fmt.Errorf("core: batch insts must be positive, got %d", insts)
 	}
 	if warmup < 0 {
 		return nil, fmt.Errorf("core: batch warmup must be non-negative, got %d", warmup)
 	}
-	total := warmup + insts
-	buf := m.Insts()
-	if int64(len(buf)) < total {
-		return nil, fmt.Errorf("core: materialized trace %s holds %d instructions, need %d",
-			m.Name(), len(buf), total)
-	}
-	buf = buf[:total]
 	out := make([]Result, len(cfgs))
 	if len(cfgs) == 0 {
 		return out, nil
@@ -55,13 +49,27 @@ func RunBatchReusing(m *trace.Materialized, cfgs []config.SystemConfig, insts, w
 			sp = spares[k]
 		}
 		sims[k] = NewSystemReusing(cfgs[k], sp)
-		sims[k].Sims[0].SetWorkload(m.NewReplay())
+		sims[k].Sims[0].SetWorkload(gen)
 	}
-	for base := int64(0); base < warmup; base += batchChunk {
-		end := min(base+batchChunk, warmup)
-		for _, s := range sims {
-			stepChunk(s.Sims[0], buf[base:end])
+	buf := make([]trace.Inst, batchChunk)
+	// step pulls n more instructions from gen a chunk at a time and
+	// steps every system through each chunk.
+	step := func(n int64) error {
+		for ; n > 0; n -= batchChunk {
+			chunk := buf[:min(n, batchChunk)]
+			for i := range chunk {
+				if !gen.Next(&chunk[i]) {
+					return fmt.Errorf("core: trace %s ends before %d instructions", gen.Name(), warmup+insts)
+				}
+			}
+			for _, s := range sims {
+				stepChunk(s.Sims[0], chunk)
+			}
 		}
+		return nil
+	}
+	if err := step(warmup); err != nil {
+		return nil, err
 	}
 	// Warmup boundary, mirroring RunST: measurement counters reset,
 	// timing and learned state preserved.
@@ -69,11 +77,8 @@ func RunBatchReusing(m *trace.Materialized, cfgs []config.SystemConfig, insts, w
 	for k, s := range sims {
 		wins[k] = s.BeginMeasure()
 	}
-	for base := warmup; base < total; base += batchChunk {
-		end := min(base+batchChunk, total)
-		for _, s := range sims {
-			stepChunk(s.Sims[0], buf[base:end])
-		}
+	if err := step(insts); err != nil {
+		return nil, err
 	}
 	for k, s := range sims {
 		out[k] = s.EndMeasure(wins[k])
@@ -81,8 +86,8 @@ func RunBatchReusing(m *trace.Materialized, cfgs []config.SystemConfig, insts, w
 	return out, nil
 }
 
-// stepChunk advances one core through a chunk of the shared trace. The
-// shared records must stay pristine, and a branch predictor rewrites
+// stepChunk advances one core through a chunk of the shared stream.
+// The shared records must stay pristine, and a branch predictor rewrites
 // in.Mispred (cpu.Core.Step's only mutation of *in), so
 // predictor-equipped cores step a private copy of each record; every
 // other core steps the shared records in place.

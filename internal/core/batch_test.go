@@ -109,7 +109,13 @@ func TestBatchStepAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := m.Insts()
+	buf := make([]trace.Inst, warm+batchChunk)
+	r := m.NewReplay()
+	for i := range buf {
+		if !r.Next(&buf[i]) {
+			t.Fatalf("recording exhausted at %d", i)
+		}
+	}
 	gshare := config.BaselineExclusive()
 	gshare.GsharePredictorBits = 12
 	for _, cfg := range []config.SystemConfig{config.BaselineExclusive(), gshare} {

@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"catch/internal/runner"
+	"catch/internal/trace"
 )
 
 // TestBatchSmokeFig13 is the end-to-end gate for the lock-step kernel:
@@ -55,5 +58,46 @@ func TestFig13RerunOverCacheExecutesNothing(t *testing.T) {
 		case run == 1 && n != 0:
 			t.Errorf("re-run over the same cache executed %d simulations, want 0", n)
 		}
+	}
+}
+
+// TestBatchRunKeepsNoTrace pins that the lock-step path streams its
+// instructions from the workload generator: a batching engine that has
+// run 2 configs × 8 workloads at 60k instructions after 30k, and is
+// still referenced, holds less than one recording of that budget
+// (32 B per instruction, 2.9 MB) more live heap than before it was
+// built. An engine that kept its recordings would hold all eight, about
+// 24 MB. Live heap is process-wide, so the test must not run in
+// parallel with others.
+func TestBatchRunKeepsNoTrace(t *testing.T) {
+	const insts, warmup = 60_000, 30_000
+	var jobs []runner.Job
+	for _, c := range []string{"nol2-6.5", "nol2-6.5-catch"} {
+		cfg, _ := ConfigByName(c)
+		for _, w := range controlWorkloads[:8] {
+			jobs = append(jobs, runner.STJob(cfg, w, insts, warmup))
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	eng := runner.New(runner.Options{Workers: 2, Batch: true})
+	out := eng.Run(context.Background(), jobs)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(eng)
+	for _, r := range out {
+		if r.Err != "" {
+			t.Fatalf("%s: %s", r.Job.Workloads[0], r.Err)
+		}
+	}
+	if n := eng.Batched(); n != uint64(len(jobs)) {
+		t.Fatalf("engine batched %d of %d jobs", n, len(jobs))
+	}
+	grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("live heap grew %.2f MB over the Run", float64(grown)/1e6)
+	if limit := int64(unsafe.Sizeof(trace.Inst{})) * (insts + warmup); grown >= limit {
+		t.Errorf("live heap grew %.1f MB over a batch Run, want under one recording (%.1f MB)",
+			float64(grown)/1e6, float64(limit)/1e6)
 	}
 }

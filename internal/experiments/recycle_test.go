@@ -96,7 +96,7 @@ func TestRecycledLLCMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := core.RunBatchReusing(m, batch, insts, warmup, spares)
+		got, err := core.RunBatchReusing(m.NewReplay(), batch, insts, warmup, spares)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -62,11 +62,6 @@ type Budget struct {
 	Mixes     int   // number of MP mixes (0 = all 60)
 }
 
-// DefaultBudget is the full-evaluation budget.
-func DefaultBudget() Budget {
-	return Budget{Insts: 300_000, Warmup: 150_000}
-}
-
 // QuickBudget is a reduced budget for tests.
 func QuickBudget() Budget {
 	return Budget{Insts: 60_000, Warmup: 30_000, Workloads: 10, Mixes: 4}

@@ -9,17 +9,17 @@ import (
 )
 
 // The batch scheduler groups a sweep's single-thread jobs by the
-// (workload, insts, warmup) tuple they share, materializes that tuple's
-// trace once, and steps every configuration in the group through it
-// with one lock-step core.RunBatch call. Each job's result then fans
-// back out to its own content-addressed cache key, so catchd, the
+// (workload, insts, warmup) tuple they share and steps every
+// configuration in the group through one generator of that workload
+// with one lock-step core.RunBatchReusing call. Each job's result then
+// fans back out to its own content-addressed cache key, so catchd, the
 // cluster coordinator and a re-run over the same cache consume batch
 // results exactly as scalar ones. Anything the lock-step kernel cannot
 // express — multi-programmed jobs, singleton groups, or a unit that
 // errors, times out or hits an injected fault — runs through the
 // unchanged scalar path.
 
-// batchKey groups jobs that can share one materialized trace.
+// batchKey groups jobs that can share one instruction stream.
 type batchKey struct {
 	workload string
 	insts    int64
@@ -88,7 +88,7 @@ func (e *Engine) runUnit(ctx context.Context, jobs []Job, unit []int, out []JobR
 
 // runBatchUnit resolves a multi-job unit through the lock-step kernel.
 // Jobs whose keys are already cached are served from the cache; the
-// rest run in one RunBatch call. A batch-level error of any kind falls
+// rest run in one lock-step call. A batch-level error of any kind falls
 // back to running each remaining job through the scalar path, which
 // owns per-job retries, timeouts and status reporting.
 func (e *Engine) runBatchUnit(ctx context.Context, jobs []Job, unit []int, out []JobResult, spares llcSpares) {
@@ -147,8 +147,8 @@ func (e *Engine) runBatchUnit(ctx context.Context, jobs []Job, unit []int, out [
 }
 
 // batchAttempt runs one bounded lock-step execution over the pending
-// jobs, returning one result set per job: it materializes the unit's
-// trace and runs the lock-step kernel with the scalar attempt's fault
+// jobs, returning one result set per job: the kernel reads a fresh
+// generator of the unit's workload under the scalar attempt's fault
 // hooks, panic containment and timeout. A failed attempt is not
 // retried here; the caller's scalar fallback then owns the jobs. The
 // injected-fault site is the first pending job's key, so chaos
@@ -165,22 +165,17 @@ func (e *Engine) batchAttempt(ctx context.Context, jobs []Job, pend []int, spare
 	if err != nil {
 		return nil, err
 	}
-	w := ws[0]
 	e.executed.Add(uint64(len(pend)))
 	sps := make([]*core.LLCSpare, len(pend))
 	for k := range sps {
 		sps[k] = spares.take()
 	}
 	out, err := bounded(ctx, e, j0.Key(), func() ([][]core.Result, error) {
-		m, err := e.traces.Materialize(&w, j0.Warmup+j0.Insts)
-		if err != nil {
-			return nil, err
-		}
 		cfgs := make([]config.SystemConfig, len(pend))
 		for k, i := range pend {
 			cfgs[k] = jobs[i].Config
 		}
-		flat, err := core.RunBatchReusing(m, cfgs, j0.Insts, j0.Warmup, sps)
+		flat, err := core.RunBatchReusing(ws[0].NewGen(), cfgs, j0.Insts, j0.Warmup, sps)
 		if err != nil {
 			return nil, err
 		}

@@ -14,7 +14,6 @@ import (
 	"catch/internal/sample"
 	"catch/internal/stats"
 	"catch/internal/telemetry"
-	"catch/internal/trace"
 )
 
 // Job outcome statuses, as reported in JobResult.Status.
@@ -61,7 +60,7 @@ type Options struct {
 	Metrics *telemetry.Registry
 	// Batch groups single-thread jobs that share a (workload, insts,
 	// warmup) budget and resolves each group through one lock-step
-	// core.RunBatch call over a shared materialized trace. Results are
+	// core.RunBatchReusing call over one generator. Results are
 	// byte-identical to the scalar path and fan back out to the same
 	// per-job cache keys; any batch-level error falls back to scalar
 	// execution job by job.
@@ -81,9 +80,9 @@ type Options struct {
 	SampleK int
 }
 
-// batchSize caps the configurations per RunBatch call: wide enough to
-// amortize the trace decode, narrow enough that the batch's combined
-// simulator state stays cache-resident.
+// batchSize caps the configurations per lock-step call: wide enough to
+// amortize generating the stream, narrow enough that the batch's
+// combined simulator state stays cache-resident.
 const batchSize = 8
 
 // Engine shards jobs across a bounded worker pool. Each execution
@@ -100,9 +99,6 @@ type Engine struct {
 	// substitute it to force sampling failures.
 	sampleRun func(*Job) ([]core.Result, error)
 
-	// traces is the one memory-only trace store the batch path and the
-	// sampler share (nil when neither Batch nor Sample is on).
-	traces *trace.Store
 	// sampler resolves sampled jobs (nil when Options.Sample is off).
 	sampler *sample.Planner
 
@@ -147,11 +143,8 @@ func New(opts Options) *Engine {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 	e := &Engine{opts: opts, drain: make(chan struct{})}
-	if opts.Batch || opts.Sample {
-		e.traces = trace.NewStore("")
-	}
 	if opts.Sample {
-		e.sampler = sample.NewPlanner(e.traces, nil)
+		e.sampler = sample.NewPlanner(nil, nil)
 	}
 	e.sampleRun = e.runSampled
 	e.simulate = func(j *Job, sp *core.LLCSpare) ([]core.Result, error) {

@@ -199,8 +199,18 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
-	return mux
+	return routes{mux, s}
 }
+
+// routes is the handler Handler returns. Its Admit puts another
+// layer's route, the cluster's sharded sweep, behind the admission of
+// the run and sweep routes (see limited).
+type routes struct {
+	*http.ServeMux
+	s *Server
+}
+
+func (r routes) Admit(h http.HandlerFunc) http.HandlerFunc { return r.s.limited(h) }
 
 // registerServerMetrics surfaces counters owned by the cache and the
 // request limiter as read-at-exposition functions, so the hot paths

@@ -92,11 +92,6 @@ func (m *Materialized) Seed() uint64 { return m.w.Seed }
 // Len returns the recorded stream length.
 func (m *Materialized) Len() int64 { return int64(len(m.insts)) }
 
-// Insts returns the shared recorded stream. Callers must treat it as
-// read-only: every replayer and every lock-step batch kernel iterates
-// this one slice.
-func (m *Materialized) Insts() []Inst { return m.insts }
-
 // NewReplay returns a fresh cursor over the shared stream.
 func (m *Materialized) NewReplay() *Replay { return &Replay{m: m} }
 
