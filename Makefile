@@ -105,21 +105,24 @@ batch-smoke:
 # 3-node in-memory cluster shards a sweep over the ring and the
 # Flattened output must be byte-identical to the single-node run, with
 # the chaos variants (dead peer, injected peer faults, a draining peer
-# whose shard is rerouted) alongside, and the cluster sweep takes the
-# single-node admission (shed while draining, cut by the request
-# timeout).
+# whose shard is rerouted, a peer drained mid-shard whose shard is
+# rerouted too) alongside, and the cluster sweep takes the single-node
+# admission (shed while draining, cut by the request timeout).
 cluster-smoke:
-	$(call smoke,./internal/cluster,TestClusterSmoke TestClusterKillOnePeer TestClusterPeerFaultInjection TestClusterSweepSkipsDrainingPeer TestClusterSweepAdmission)
+	$(call smoke,./internal/cluster,TestClusterSmoke TestClusterKillOnePeer TestClusterPeerFaultInjection TestClusterSweepSkipsDrainingPeer TestClusterSweepReroutesShardCutByDrain TestClusterSweepAdmission)
 
 # chaos re-proves determinism under injected faults: seeded fault
 # schedules (disk errors, corrupt cache entries, panics, hangs, and a
 # kill followed by a re-run over the same cache) over real small
 # sweeps must produce byte-identical results vs the fault-free run,
 # as must a Run in which an attempt abandoned on timeout keeps
-# simulating on its LLC array while later jobs reuse arrays. Runs the
-# runner's five TestChaos* tests; ~3s.
+# simulating on its LLC array while later jobs reuse pooled arrays,
+# and concurrent one-job Runs under constant GC while dropped systems'
+# mapped LLC arrays are unmapped by finalizers (no -race here, so the
+# arrays are mapped outside the heap). Runs the runner's six
+# TestChaos* tests; ~3s.
 chaos:
-	$(call smoke,./internal/runner,TestChaosDeterminismUnderFaults TestChaosKillResumeCycle TestChaosHangRecoversViaTimeout TestChaosBatchHangFallsBack TestChaosAbandonedAttemptKeepsItsLLCArray,-v)
+	$(call smoke,./internal/runner,TestChaosDeterminismUnderFaults TestChaosKillResumeCycle TestChaosHangRecoversViaTimeout TestChaosBatchHangFallsBack TestChaosAbandonedAttemptKeepsItsLLCArray TestChaosLLCPoolUnderGCPressure,-v)
 
 # lint runs the in-repo static-analysis suite (see DESIGN.md,
 # "Static analysis"): determinism, hotpath-noalloc,

@@ -283,9 +283,10 @@ func BenchmarkSystemPrewarm(b *testing.B) {
 // LLC sets, each placing its prewarmed lines on first touch. gcc
 // declares 39,360 resident lines; povray's 48 regions (193,536 lines)
 // overflow the LLC, the worst case for per-set placement. A fresh job
-// zeroes a new 3.4 MB LLC array, as a one-job Engine.Run does; a
-// recycled job builds its LLC over the previous job's array, as the
-// jobs of a sweep do, and clears each stale set on first touch.
+// drops its system without Release, so the next one takes a fresh
+// 3.25 MB LLC array; a recycled job releases it, so the next builds its
+// LLC over that pooled array, as the jobs of a sweep and successive
+// catchd /v1/runs do, and clears each stale set on first touch.
 func BenchmarkSystemJob(b *testing.B) {
 	cfg, ok := experiments.ConfigByName("nol2-6.5-catch")
 	if !ok {
@@ -306,15 +307,19 @@ func BenchmarkSystemJob(b *testing.B) {
 					mode = "recycled"
 				}
 				b.Run(name+"/"+budget.name+"/"+mode, func(b *testing.B) {
-					var sp *core.LLCSpare // nil builds a fresh LLC
-					if recycled {
-						sp = new(core.LLCSpare)
-						core.NewSystemReusing(cfg, sp).RunST(w.NewGen(), budget.insts, budget.warmup)
+					if recycled { // list an array for the first measured job
+						sys := core.NewSystem(cfg)
+						sys.RunST(w.NewGen(), budget.insts, budget.warmup)
+						sys.Release()
 						b.ResetTimer()
 					}
 					for i := 0; i < b.N; i++ {
-						if res := core.NewSystemReusing(cfg, sp).RunST(w.NewGen(), budget.insts, budget.warmup); res.IPC <= 0 {
+						sys := core.NewSystem(cfg)
+						if res := sys.RunST(w.NewGen(), budget.insts, budget.warmup); res.IPC <= 0 {
 							b.Fatal("no progress")
+						}
+						if recycled {
+							sys.Release()
 						}
 					}
 				})

@@ -5,20 +5,20 @@ import "testing"
 // TestLookupFillAllocFree guards the cache hot path: once a cache is
 // built, Lookup (hit and miss), Fill (with and without eviction),
 // Probe and MarkDirty perform zero heap allocations. The recycled
-// cache is built over a dirty array and fills only half its sets
-// first, so the measured calls also clear the other half on first
+// cache is built over a dirty pooled array and fills only half its
+// sets first, so the measured calls also clear the other half on first
 // touch.
 func TestLookupFillAllocFree(t *testing.T) {
 	cfg := Config{Name: "L1D", Size: 32 << 10, Ways: 8, HitLat: 5}
 	for _, recycled := range []bool{false, true} {
 		c, warm := New(cfg), uint64(64<<10)
 		if recycled {
-			c, warm = NewOver(cfg, dirtyLines(2*512, 1<<10)), 32*64
+			c, warm = dirtyPooled(t, cfg, 2*512, 1<<10), 32*64
 		}
 		for a := uint64(0); a < warm; a += 64 {
 			c.Fill(a, 0, 5, false, PfNone)
 		}
-		if recycled && !Deferred(c) {
+		if recycled && c.plan == nil {
 			t.Fatal("the recycled cache cleared every set before the measured calls")
 		}
 		addr := uint64(0)
@@ -31,6 +31,9 @@ func TestLookupFillAllocFree(t *testing.T) {
 			addr += 64
 		}); allocs != 0 {
 			t.Errorf("cache hot path (recycled %v): %v allocs per op batch, want 0", recycled, allocs)
+		}
+		if recycled {
+			c.Release()
 		}
 	}
 }

@@ -67,7 +67,10 @@ type Cache struct {
 	// plan, when non-nil, holds prewarmed lines not yet placed; Probe,
 	// Lookup and Fill place a set's share before they look at the set
 	// (see prewarmPlan).
-	plan  *prewarmPlan
+	plan *prewarmPlan
+	// owner holds the pooled array that lines is cut from (nil for a
+	// cache New built); Release hands it back.
+	owner *lineArray //catch:nosnap storage, not state: the image holds the lines themselves
 	Stats Stats
 }
 
@@ -85,18 +88,16 @@ func (c *Cache) PolicyName() string {
 	return c.policy.Name()
 }
 
-// New builds a cache from cfg. The set count is Size/(Ways*64).
-func New(cfg Config) *Cache { return NewOver(cfg, nil) }
+// New builds a cache from cfg over a line array of its own. The set
+// count is Size/(Ways*64).
+func New(cfg Config) *Cache {
+	c := newCache(cfg)
+	c.lines = make([]Line, c.Sets*c.Cfg.Ways)
+	return c
+}
 
-// NewOver is New over the storage of spare, a line array that an
-// earlier cache no longer uses (see Lines), when its capacity holds
-// the new cache's lines; a nil or smaller spare gets a fresh array.
-// Whatever a reused array holds is stale: every set starts pending in
-// a plan (see prewarmPlan), and the first Probe, Lookup or Fill that
-// reaches a set clears it, as PlacePrewarm clears every set, so the
-// cache behaves exactly as a fresh one while a short run zeroes only
-// the sets it touches.
-func NewOver(cfg Config, spare []Line) *Cache {
+// newCache returns a cache of cfg's geometry with no line array.
+func newCache(cfg Config) *Cache {
 	if cfg.Ways <= 0 {
 		cfg.Ways = 1
 	}
@@ -105,21 +106,11 @@ func NewOver(cfg Config, spare []Line) *Cache {
 		sets = 1
 	}
 	c := &Cache{Cfg: cfg, Sets: sets}
-	if n := sets * cfg.Ways; cap(spare) >= n {
-		c.lines = spare[:n]
-		c.plan = stalePlan(sets)
-	} else {
-		c.lines = make([]Line, n)
-	}
 	if sets&(sets-1) == 0 {
 		c.setMask = uint64(sets - 1)
 	}
 	return c
 }
-
-// Lines returns c's line array, for NewOver to build a later cache
-// over once c is no longer used.
-func (c *Cache) Lines() []Line { return c.lines }
 
 // lineTag converts an address to the line-granular tag used internally.
 func lineTag(addr uint64) uint64 { return addr >> 6 }

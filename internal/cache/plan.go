@@ -15,7 +15,7 @@ import (
 // set's share of the plan the first time they touch that set, so a set
 // the run never reaches is never written.
 //
-// A cache built over a reused line array (NewOver) holds a plan from
+// A cache built over a reused line array (NewPooled) holds a plan from
 // the start, with every set pending and stale set: placing a set then
 // first clears whatever an earlier cache left in it, so a set is
 // zeroed only when the run reaches it. Prewarm adds its runs to that
@@ -67,7 +67,7 @@ type lineRun struct {
 // when two regions share a line, or when inclusive is set and some set
 // receives more lines than it has ways. c must be untouched and use
 // the built-in LRU. On a reused array the runs join the stale plan
-// NewOver made, whose every set is still pending unless a Probe or a
+// NewPooled made, whose every set is still pending unless a Probe or a
 // Lookup already cleared it; such a set is pending again, since it is
 // as empty as a fresh one.
 func (c *Cache) planPrewarm(regs []trace.Region, inclusive bool) bool {

@@ -198,22 +198,30 @@ func walkedLines(regs []trace.Region) uint64 {
 }
 
 // hierEqual deep-compares two hierarchies, all but their BackInval
-// hooks (functions never compare equal).
+// hooks (functions never compare equal) and which pooled array holds
+// the LLC's lines.
 func hierEqual(a, b *Hierarchy) bool {
 	ai, bi := a.BackInval, b.BackInval
+	ao, bo := a.LLC.owner, b.LLC.owner
 	a.BackInval, b.BackInval = nil, nil
-	defer func() { a.BackInval, b.BackInval = ai, bi }()
+	a.LLC.owner, b.LLC.owner = nil, nil
+	defer func() {
+		a.BackInval, b.BackInval = ai, bi
+		a.LLC.owner, b.LLC.owner = ao, bo
+	}()
 	return reflect.DeepEqual(a, b)
 }
 
 // hierDiff names the components in which two hierarchies differ.
 func hierDiff(a, b *Hierarchy) string {
+	llcA, llcB := *a.LLC, *b.LLC
+	llcA.owner, llcB.owner = nil, nil
 	var out []string
 	for _, c := range []struct {
 		name string
 		x, y any
 	}{
-		{"LLC", a.LLC, b.LLC}, {"L1D", a.L1D, b.L1D}, {"L1I", a.L1I, b.L1I},
+		{"LLC", &llcA, &llcB}, {"L1D", a.L1D, b.L1D}, {"L1I", a.L1I, b.L1I},
 		{"L2", a.L2, b.L2}, {"Mem", a.Mem, b.Mem}, {"Stats", a.Stats, b.Stats},
 	} {
 		if !reflect.DeepEqual(c.x, c.y) {

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"catch/internal/trace"
@@ -39,6 +40,40 @@ func dirtyLines(n int, span uint64) []Line {
 	return lines
 }
 
+// dirtyPooled returns a cache of cfg that NewPooled built over a
+// released array of n lines (at least cfg's) in which every field of
+// every line is non-zero (see dirtyLines). It empties the pool's list
+// first, so that array is the only one listed.
+func dirtyPooled(t testing.TB, cfg Config, n int, span uint64) *Cache {
+	t.Helper()
+	drainPool()
+	donor := NewPooled(Config{Name: "donor", Size: uint64(n) * 64, Ways: 1})
+	array := donor.lines
+	copy(array, dirtyLines(n, span))
+	donor.Release()
+	c := NewPooled(cfg)
+	if !c.Reused() || &c.lines[0] != &array[0] {
+		t.Fatal("NewPooled did not reuse the only listed array, which is large enough")
+	}
+	return c
+}
+
+// drainPool empties the pool's list, unmapping what it held, so the
+// next NewPooled makes a fresh array. Tests that call it must not run
+// in parallel with others that take pooled arrays.
+func drainPool() {
+	pool.mu.Lock()
+	free := pool.free
+	pool.free = nil
+	pool.mu.Unlock()
+	for _, a := range free {
+		if a.mapped {
+			runtime.SetFinalizer(a, nil)
+			unmapLines(a.lines)
+		}
+	}
+}
+
 // recycledCase decodes a FuzzRecycledCache input into an LLC geometry,
 // a prewarm path and its regions. The regions are drawn from a seeded
 // generator and then bent so the input takes the path its mode names.
@@ -68,10 +103,11 @@ func recycledCase(geom, mode, seed byte) (sets, ways int, policy string, inclusi
 	return
 }
 
-// FuzzRecycledCache is the differential check behind reusing LLC line
-// arrays: an LLC built over a dirty array (every field of every line
-// non-zero, the array possibly larger than the cache needs) must behave
-// exactly as one built over a fresh array. The input picks a geometry,
+// FuzzRecycledCache is the differential check behind pooling LLC line
+// arrays: an LLC that NewPooled built over a released, dirty array
+// (every field of every line non-zero, the array possibly larger than
+// the cache needs) must behave exactly as one built over a fresh
+// array. The input picks a geometry,
 // a prewarm path (none, a deferred plan, SRRIP and DRRIP eager walks,
 // overlapping regions, an overflowing inclusive LLC) and a sequence of
 // Probe, Lookup, Fill, MarkDirty and Invalidate calls, the first few
@@ -100,11 +136,8 @@ func FuzzRecycledCache(f *testing.F) {
 			}
 			return h
 		}
-		spare := dirtyLines(lines+int(extra)%3*lines, span)
-		fresh, reused := build(New(cfg)), build(NewOver(cfg, spare))
-		if &reused.LLC.Lines()[0] != &spare[0] {
-			t.Fatal("NewOver did not reuse a spare large enough")
-		}
+		fresh, reused := build(New(cfg)), build(dirtyPooled(t, cfg, lines+int(extra)%3*lines, span))
+		defer reused.LLC.Release()
 
 		n := len(ops) / 3
 		pre := min(int(early), n)
@@ -170,7 +203,7 @@ func TestRecycledPrewarmPaths(t *testing.T) {
 		for seed := byte(0); seed < 20; seed++ {
 			sets, ways, policy, inclusive, regs := recycledCase(7*seed, mode, seed)
 			h := newTestHier(false, inclusive)
-			h.LLC = NewOver(Config{Name: "LLC", Size: uint64(sets * ways * 64), Ways: ways, HitLat: 40}, dirtyLines(sets*ways, 1))
+			h.LLC = dirtyPooled(t, Config{Name: "LLC", Size: uint64(sets * ways * 64), Ways: ways, HitLat: 40}, sets*ways, 1)
 			h.LLC.SetPolicy(policy)
 			var backInval int
 			h.BackInval = func(uint64, int64) { backInval++ }
@@ -181,6 +214,7 @@ func TestRecycledPrewarmPaths(t *testing.T) {
 			if (backInval > 0) != (mode == pathOverflowIncl) {
 				t.Fatalf("mode %d, seed %d: %d back-invalidations", mode, seed, backInval)
 			}
+			h.LLC.Release()
 		}
 	}
 }

@@ -54,6 +54,7 @@ func TestSetWorkloadPrewarmMatchesPerLine(t *testing.T) {
 							}
 						}
 					}
+					want.PlacePrewarm() // clears the sets a reused array left stale
 					refs[key] = want
 				}
 				if !cache.SameState(got.LLC, want) {
@@ -65,6 +66,7 @@ func TestSetWorkloadPrewarmMatchesPerLine(t *testing.T) {
 					t.Errorf("%s: prewarm deferred %v, want %v (inclusive %v, %d evictions)",
 						name, deferred, wantDeferred, cfg.Inclusive, want.Stats.Evictions)
 				}
+				got.Release()
 			}
 		})
 	}

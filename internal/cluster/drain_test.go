@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"net/http"
 	"slices"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"catch/internal/fault"
 	"catch/internal/runner"
+	"catch/internal/workloads"
 )
 
 // TestClusterSweepSkipsDrainingPeer drains the engine of a peer that
@@ -52,6 +54,72 @@ func TestClusterSweepSkipsDrainingPeer(t *testing.T) {
 	}
 	if st := tc.nodes[0].client.BreakerState(tc.urls[drained]); st != fault.StateClosed {
 		t.Fatalf("coordinator's breaker for the draining peer is %s, want closed", st)
+	}
+}
+
+// TestClusterSweepReroutesShardCutByDrain drains a peer's engine while
+// the peer runs its shard, once its first job has started: the engine
+// hands the jobs it has not fed back canceled, so the peer must shed
+// the shard with 503 + Retry-After rather than answer 200 with those
+// jobs canceled. The coordinator reroutes the shard, and the sweep
+// comes back all ok and byte-identical to the single-node run. The
+// sweep is 20 jobs, so that whatever ports the nodes listen on, and so
+// however the ring places the jobs, some peer owns at least two.
+func TestClusterSweepReroutesShardCutByDrain(t *testing.T) {
+	g := runner.Grid{Configs: testConfigs(), Insts: tInsts, Warmup: tWarmup}
+	for _, w := range workloads.All()[:10] {
+		g.Workloads = append(g.Workloads, w.WName)
+	}
+	jobs := g.Jobs()
+	ref := mustFlatten(t, runner.New(runner.Options{Workers: 2}).Run(context.Background(), jobs))
+	// Every peer runs one job at a time, each slowed enough that the
+	// drain lands while the shard's first job runs.
+	slow := fault.NewInjector(fault.Plan{Seed: 1, Rules: map[fault.Kind]fault.Rule{
+		fault.Slow: {Prob: 1, Delay: 100 * time.Millisecond},
+	}})
+	tc := newTestCluster(t, 3, func(i int, o *Options) {
+		if i > 0 {
+			o.Engine = runner.New(runner.Options{Workers: 1, Cache: runner.NewCache(""), Fault: slow})
+		}
+	})
+	owned := make([]int, len(tc.urls))
+	for _, j := range jobs {
+		owned[slices.Index(tc.urls, tc.nodes[0].Ring().Owner(j.Key(), nil))]++
+	}
+	drained := 1
+	if owned[2] > owned[1] {
+		drained = 2
+	}
+	if owned[drained] < 2 {
+		t.Fatalf("no peer owns two jobs of the sweep (jobs per node %v)", owned)
+	}
+	eng := tc.engines[drained]
+	stop := make(chan struct{})
+	startedAt := make(chan uint64, 1) // the peer's executions when it was drained; 0 if it never started
+	go func() {
+		for eng.Executed() == 0 {
+			select {
+			case <-stop:
+				startedAt <- 0
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+		eng.Drain()
+		startedAt <- eng.Executed()
+	}()
+	out := tc.nodes[0].RunSweep(context.Background(), jobs, nil)
+	close(stop)
+	if n := <-startedAt; n == 0 || n >= uint64(owned[drained]) {
+		t.Fatalf("node %d was drained after %d of its %d jobs had started, want some but not all", drained, n, owned[drained])
+	}
+	for _, jr := range out {
+		if jr.Status != runner.StatusOK {
+			t.Fatalf("job %s finished %q (err %q) with node %d drained mid-shard", jr.Key[:12], jr.Status, jr.Err, drained)
+		}
+	}
+	if got := mustFlatten(t, out); !bytes.Equal(got, ref) {
+		t.Fatal("sweep with a peer drained mid-shard diverged from the single-node run")
 	}
 }
 

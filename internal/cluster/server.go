@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"time"
 
 	"catch/internal/runner"
@@ -174,13 +175,15 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleShard executes one sweep shard on the local engine. A draining
-// engine would hand every job back canceled, so a draining node sheds
-// the shard with 503 + Retry-After instead: the coordinator reroutes
-// it, and its breaker and prober count the node alive.
+// engine hands the jobs it has not fed back canceled, so a node that
+// is draining before the shard runs, or that began to drain while it
+// ran and canceled some of its jobs, sheds the shard with 503 +
+// Retry-After instead: the coordinator reroutes it, and its breaker
+// and prober count the node alive.
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
-	if s.Node.opts.Engine.Draining() {
-		w.Header().Set("Retry-After", "1")
-		runner.WriteJSON(w, http.StatusServiceUnavailable, runner.ErrorBody{Error: "node is draining"})
+	eng := s.Node.opts.Engine
+	if eng.Draining() {
+		shedDraining(w)
 		return
 	}
 	jobs, err := decodeShard(r.Body, s.Resolve)
@@ -190,7 +193,17 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	}
 	s.Node.mShardsIn.Inc()
 	out := s.Node.ExecuteShard(r.Context(), jobs)
+	if eng.Draining() && slices.ContainsFunc(out, func(jr runner.JobResult) bool { return jr.Status == runner.StatusCanceled }) {
+		shedDraining(w)
+		return
+	}
 	runner.WriteJSON(w, http.StatusOK, shardResponse{Jobs: out})
+}
+
+// shedDraining answers a shard that a draining node will not run.
+func shedDraining(w http.ResponseWriter) {
+	w.Header().Set("Retry-After", "1")
+	runner.WriteJSON(w, http.StatusServiceUnavailable, runner.ErrorBody{Error: "node is draining"})
 }
 
 // maxShardBody caps a POST /v1/cluster/shard body. A shard holds some

@@ -12,24 +12,26 @@ import (
 // allocations across further simulation batches. A non-nil tracer is
 // attached before warmup (the telemetry instrumentation must keep the
 // kernel allocation-free whether tracing is off or on). A recycled
-// system is built over the LLC array of a finished job on a config
-// with twice the LLC, so its first touches also clear stale sets.
+// system is built after a finished job on a config with twice the LLC
+// has released its system, so it takes a pooled array and its first
+// touches also clear stale sets.
 func steadyStateAllocs(t *testing.T, cfg config.SystemConfig, workload string, tr *telemetry.Tracer, recycled bool) float64 {
 	t.Helper()
 	w, ok := workloads.ByName(workload)
 	if !ok {
 		t.Fatalf("workload %s", workload)
 	}
-	var sp *LLCSpare
 	if recycled {
 		donor := cfg
 		donor.LLCSize *= 2
-		sp = new(LLCSpare)
-		NewSystemReusing(donor, sp).RunST(w.NewGen(), 5_000, 1_000)
+		sys := NewSystem(donor)
+		sys.RunST(w.NewGen(), 5_000, 1_000)
+		sys.Release()
 	}
-	sys := NewSystemReusing(cfg, sp)
-	if recycled && sp.TakeReuses() != 1 {
-		t.Fatalf("%s: the system did not reuse the donor's LLC array", cfg.Name)
+	sys := NewSystem(cfg)
+	defer sys.Release()
+	if recycled && !sys.LLC.Reused() {
+		t.Fatalf("%s: the system did not reuse a pooled LLC array", cfg.Name)
 	}
 	if tr != nil {
 		sys.AttachTracer(tr)

@@ -14,10 +14,11 @@ import (
 // chunk stays resident across all systems in the batch.
 const batchChunk = 1024
 
-// RunBatch is RunBatchReusing over a replay of the recording m, with
-// fresh LLCs. A recording shorter than warmup + insts is an error.
+// RunBatch is RunBatchReusing over a replay of the recording m. A
+// recording shorter than warmup + insts is an error.
 func RunBatch(m *trace.Materialized, cfgs []config.SystemConfig, insts, warmup int64) ([]Result, error) {
-	return RunBatchReusing(m.NewReplay(), cfgs, insts, warmup, nil)
+	out, _, err := RunBatchReusing(m.NewReplay(), cfgs, insts, warmup)
+	return out, err
 }
 
 // RunBatchReusing steps one private System per configuration through
@@ -28,27 +29,26 @@ func RunBatch(m *trace.Materialized, cfgs []config.SystemConfig, insts, warmup i
 // as its workload for naming, prewarm regions and ValueAt, whose values
 // are pure functions of the address. So results are byte-identical to
 // per-config RunST runs, and the stream is generated once per batch and
-// never held whole. The system of cfgs[k] is built by NewSystemReusing
-// over spares[k] (a nil or missing spare builds a fresh LLC); as there,
-// hand a spare on only once the call has returned normally.
-func RunBatchReusing(gen trace.Generator, cfgs []config.SystemConfig, insts, warmup int64, spares []*LLCSpare) ([]Result, error) {
+// never held whole. It also reports how many of the systems reused a
+// pooled LLC array (see NewSystem), and releases every system when it
+// returns; a panic drops them instead.
+func RunBatchReusing(gen trace.Generator, cfgs []config.SystemConfig, insts, warmup int64) (out []Result, reused int, err error) {
 	if insts <= 0 {
-		return nil, fmt.Errorf("core: batch insts must be positive, got %d", insts)
+		return nil, 0, fmt.Errorf("core: batch insts must be positive, got %d", insts)
 	}
 	if warmup < 0 {
-		return nil, fmt.Errorf("core: batch warmup must be non-negative, got %d", warmup)
+		return nil, 0, fmt.Errorf("core: batch warmup must be non-negative, got %d", warmup)
 	}
-	out := make([]Result, len(cfgs))
+	out = make([]Result, len(cfgs))
 	if len(cfgs) == 0 {
-		return out, nil
+		return out, 0, nil
 	}
 	sims := make([]*System, len(cfgs))
 	for k := range cfgs {
-		var sp *LLCSpare
-		if k < len(spares) {
-			sp = spares[k]
+		sims[k] = NewSystem(cfgs[k])
+		if sims[k].LLC.Reused() {
+			reused++
 		}
-		sims[k] = NewSystemReusing(cfgs[k], sp)
 		sims[k].Sims[0].SetWorkload(gen)
 	}
 	buf := make([]trace.Inst, batchChunk)
@@ -68,22 +68,25 @@ func RunBatchReusing(gen trace.Generator, cfgs []config.SystemConfig, insts, war
 		}
 		return nil
 	}
-	if err := step(warmup); err != nil {
-		return nil, err
-	}
-	// Warmup boundary, mirroring RunST: measurement counters reset,
-	// timing and learned state preserved.
 	wins := make([]Window, len(sims))
+	if err = step(warmup); err == nil {
+		// Warmup boundary, mirroring RunST: measurement counters reset,
+		// timing and learned state preserved.
+		for k, s := range sims {
+			wins[k] = s.BeginMeasure()
+		}
+		err = step(insts)
+	}
 	for k, s := range sims {
-		wins[k] = s.BeginMeasure()
+		if err == nil {
+			out[k] = s.EndMeasure(wins[k])
+		}
+		s.Release()
 	}
-	if err := step(insts); err != nil {
-		return nil, err
+	if err != nil {
+		return nil, reused, err
 	}
-	for k, s := range sims {
-		out[k] = s.EndMeasure(wins[k])
-	}
-	return out, nil
+	return out, reused, nil
 }
 
 // stepChunk advances one core through a chunk of the shared stream.

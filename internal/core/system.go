@@ -52,52 +52,21 @@ type CoreSim struct {
 	retired  int64
 }
 
-// NewSystem builds a system from cfg.
-func NewSystem(cfg config.SystemConfig) *System { return NewSystemReusing(cfg, nil) }
-
-// An LLCSpare carries an LLC line array from a system whose run has
-// returned to the next system built, so a run of jobs does not zero a
-// fresh 3.4–5 MB array per job (see cache.NewOver). Only the LLC's
-// array travels; private caches are small and always fresh.
-type LLCSpare struct {
-	lines  []cache.Line
-	reuses uint64
-}
-
-// TakeReuses returns how many systems were built over an array the
-// spare already held since the last call, and restarts the count.
-func (sp *LLCSpare) TakeReuses() uint64 {
-	n := sp.reuses
-	sp.reuses = 0
-	return n
-}
-
-// NewSystemReusing is NewSystem with the LLC built over sp's array
-// when it is large enough, and over a fresh one otherwise. sp then
-// holds the new system's LLC array: hand sp to the next system only
-// once this one's run has returned normally, never while an abandoned
-// or panicked run may still touch the array. A nil sp builds a fresh
-// LLC.
-func NewSystemReusing(cfg config.SystemConfig, sp *LLCSpare) *System {
+// NewSystem builds a system from cfg. Its LLC line array comes from
+// the process-wide pool (see cache.NewPooled), so a system built after
+// another has been released reuses that one's array instead of zeroing
+// a fresh 3.25–4.75 MB one; only the LLC's array is pooled, since
+// private caches are small. Release the system once its run has
+// returned.
+func NewSystem(cfg config.SystemConfig) *System {
 	if cfg.Cores <= 0 {
 		cfg.Cores = 1
 	}
-	llc := cache.Config{Name: "LLC", Size: cfg.LLCSize, Ways: cfg.LLCWays, HitLat: cfg.LLCLat}
 	s := &System{
 		Cfg:  cfg,
+		LLC:  cache.NewPooled(cache.Config{Name: "LLC", Size: cfg.LLCSize, Ways: cfg.LLCWays, HitLat: cfg.LLCLat}),
 		Mem:  memory.New(cfg.DRAM),
 		Ring: interconnect.New(cfg.RingStops, cfg.RingHopLat),
-	}
-	if sp == nil {
-		s.LLC = cache.New(llc)
-	} else {
-		spare, held := sp.lines, cap(sp.lines)
-		sp.lines = nil // a spare too small must be garbage before its replacement is allocated
-		s.LLC = cache.NewOver(llc, spare)
-		sp.lines = s.LLC.Lines()
-		if cap(sp.lines) == held { // a fresh array is exactly as long as the LLC, longer than the spare
-			sp.reuses++
-		}
 	}
 	s.LLC.SetPolicy(cfg.LLCPolicy)
 	for i := 0; i < cfg.Cores; i++ {
@@ -114,6 +83,14 @@ func NewSystemReusing(cfg config.SystemConfig, sp *LLCSpare) *System {
 	}
 	return s
 }
+
+// Release hands the system's LLC line array back to the pool for the
+// next system built (see cache.Cache.Release). Call it once the
+// system's run has returned normally, never while an abandoned or
+// panicked run may still touch it; the system is unusable afterwards.
+// A system dropped without Release has its array unmapped once the GC
+// finds it unreachable.
+func (s *System) Release() { s.LLC.Release() }
 
 func newCoreSim(s *System, id int) *CoreSim {
 	cfg := s.Cfg

@@ -11,14 +11,17 @@ import (
 	"catch/internal/workloads"
 )
 
-// TestRecycledLLCMatchesFresh is the byte-identity contract of LLC
-// array reuse on every registered config: RunST, RunMP and RunBatch on
-// systems whose LLC arrays come from a finished job on a larger-LLC
-// config must give results JSON-identical to fresh systems'. The donor
-// is the registered config with the largest LLC, its LLC doubled so it
-// is larger than every config, itself included; after its job every
-// line it left invalid is overwritten with garbage, so no set of the
-// reused array starts clean.
+// TestRecycledLLCMatchesFresh is the byte-identity contract of pooled
+// LLC arrays on every registered config: RunST, RunMP and RunBatch on
+// systems whose LLC arrays a finished job on a larger-LLC config
+// released must give results JSON-identical to systems over fresh
+// arrays. The donor is the registered config with the largest LLC,
+// its LLC doubled so it is larger than every config, itself included,
+// and under SRRIP; after its job as many garbage lines (valid, dirty,
+// prefetched, aged) as a set has ways are filled into every set, so no
+// set of the reused array starts clean. The pool is process-wide, so the
+// test takes control of it: before it donates, it holds every listed
+// array that fits the systems under test, so those take the donor's.
 func TestRecycledLLCMatchesFresh(t *testing.T) {
 	const insts, warmup = 3_000, 1_500
 	var cfgs []config.SystemConfig
@@ -30,31 +33,49 @@ func TestRecycledLLCMatchesFresh(t *testing.T) {
 			donor = cfg
 		}
 	}
-	donor.Name, donor.LLCSize = "donor", 2*donor.LLCSize
+	donor.Name, donor.LLCSize, donor.LLCPolicy = "donor", 2*donor.LLCSize, "srrip"
 	w, ok := workloads.ByName("mcf")
 	if !ok {
 		t.Fatal("workload mcf")
 	}
 	mix := workloads.Mixes()[0]
-	donated := func() *core.LLCSpare {
-		sp := new(core.LLCSpare)
-		sys := core.NewSystemReusing(donor, sp)
-		sys.RunST(w.NewGen(), insts, warmup)
-		lines := sys.LLC.Lines()
-		lines = lines[:cap(lines)]
-		for i := range lines {
-			if !lines[i].Valid {
-				lines[i] = cache.Line{Tag: uint64(i), FillTime: 1, LastUse: int64(i), OriginLat: 9,
-					Valid: true, Dirty: true, Prefetch: cache.PfStream, Meta: 2}
+
+	// held keeps systems in use, so the pool cannot hand their arrays
+	// out; they are dropped, not released, once the systems under test
+	// have their arrays.
+	var held []*core.System
+	// fresh returns a system of cfg over a freshly made LLC array,
+	// holding every listed array that fits cfg on the way.
+	fresh := func(cfg config.SystemConfig) *core.System {
+		for {
+			sys := core.NewSystem(cfg)
+			if !sys.LLC.Reused() {
+				return sys
+			}
+			held = append(held, sys)
+		}
+	}
+	// donate runs n donor jobs at once, fills their LLCs with garbage
+	// and releases them, listing n donor arrays.
+	donate := func(n int) {
+		sys := make([]*core.System, n)
+		for k := range sys {
+			sys[k] = core.NewSystem(donor)
+			sys[k].RunST(w.NewGen(), insts, warmup)
+			llc := sys[k].LLC
+			for set := 0; set < llc.Sets; set++ {
+				for way := 0; way < llc.Cfg.Ways; way++ {
+					tag := uint64(way+1)<<32*uint64(llc.Sets) + uint64(set)
+					llc.Fill(tag<<6, 1, 9, true, cache.PfStream)
+				}
 			}
 		}
-		return sp
-	}
-	same := func(what string, cfg config.SystemConfig, sp *core.LLCSpare, fresh, got any) {
-		t.Helper()
-		if sp.TakeReuses() != 1 {
-			t.Errorf("%s on %s: the system did not reuse the donor's LLC array", what, cfg.Name)
+		for _, s := range sys {
+			s.Release()
 		}
+	}
+	same := func(what string, cfg config.SystemConfig, fresh, got any) {
+		t.Helper()
 		a, err := json.Marshal(fresh)
 		if err != nil {
 			t.Fatal(err)
@@ -67,19 +88,34 @@ func TestRecycledLLCMatchesFresh(t *testing.T) {
 			t.Errorf("%s on %s: results over a recycled LLC array differ from a fresh system's", what, cfg.Name)
 		}
 	}
+	// reusing builds a system of cfg that must take a donor's array.
+	reusing := func(what string, cfg config.SystemConfig) *core.System {
+		t.Helper()
+		sys := core.NewSystem(cfg)
+		if !sys.LLC.Reused() {
+			t.Fatalf("%s on %s: the system did not reuse the donor's LLC array", what, cfg.Name)
+		}
+		return sys
+	}
 
 	for _, cfg := range cfgs {
-		sp := donated()
-		same("RunST", cfg, sp,
-			core.NewSystem(cfg).RunST(w.NewGen(), insts, warmup),
-			core.NewSystemReusing(cfg, sp).RunST(w.NewGen(), insts, warmup))
+		sys := fresh(cfg)
+		want := sys.RunST(w.NewGen(), insts, warmup)
+		donate(1)
+		got := reusing("RunST", cfg)
+		same("RunST", cfg, want, got.RunST(w.NewGen(), insts, warmup))
+		got.Release()
+		held = nil
 
 		mp := cfg
 		mp.Cores = len(mix.Parts)
-		sp = donated()
-		same("RunMP", cfg, sp,
-			core.NewSystem(mp).RunMP(mix.Gens(), insts, warmup),
-			core.NewSystemReusing(mp, sp).RunMP(mix.Gens(), insts, warmup))
+		sys = fresh(mp)
+		wantMP := sys.RunMP(mix.Gens(), insts, warmup)
+		donate(1)
+		got = reusing("RunMP", mp)
+		same("RunMP", cfg, wantMP, got.RunMP(mix.Gens(), insts, warmup))
+		got.Release()
+		held = nil
 	}
 
 	m, err := trace.NewStore("").Materialize(&w, insts+warmup)
@@ -88,20 +124,31 @@ func TestRecycledLLCMatchesFresh(t *testing.T) {
 	}
 	for lo := 0; lo < len(cfgs); lo += 8 { // RunBatch's unit size in the engine
 		batch := cfgs[lo:min(lo+8, len(cfgs))]
-		spares := make([]*core.LLCSpare, len(batch))
-		for k := range spares {
-			spares[k] = donated()
+		smallest := batch[0]
+		for _, cfg := range batch {
+			if cfg.LLCSize < smallest.LLCSize {
+				smallest = cfg
+			}
 		}
-		fresh, err := core.RunBatch(m, batch, insts, warmup)
+		// An array that fits any config of the batch fits the smallest,
+		// so holding those leaves none for the batch's systems.
+		held = append(held, fresh(smallest))
+		want, reused, err := core.RunBatchReusing(m.NewReplay(), batch, insts, warmup)
+		if err != nil || reused != 0 {
+			t.Fatalf("fresh RunBatch: %d systems reused an array, error %v", reused, err)
+		}
+		held = append(held, fresh(smallest)) // the arrays it released
+		donate(len(batch))
+		got, reused, err := core.RunBatchReusing(m.NewReplay(), batch, insts, warmup)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := core.RunBatchReusing(m.NewReplay(), batch, insts, warmup, spares)
-		if err != nil {
-			t.Fatal(err)
+		if reused != len(batch) {
+			t.Errorf("RunBatch over %d donor arrays reused %d", len(batch), reused)
 		}
 		for k, cfg := range batch {
-			same("RunBatch", cfg, spares[k], fresh[k], got[k])
+			same("RunBatch", cfg, want[k], got[k])
 		}
+		held = nil
 	}
 }

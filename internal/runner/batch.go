@@ -76,14 +76,14 @@ func (e *Engine) planUnits(jobs []Job) [][]int {
 }
 
 // runUnit resolves one unit, writing a JobResult for every index it
-// covers; its systems take their LLC arrays from spares.
-func (e *Engine) runUnit(ctx context.Context, jobs []Job, unit []int, out []JobResult, spares llcSpares) {
+// covers.
+func (e *Engine) runUnit(ctx context.Context, jobs []Job, unit []int, out []JobResult) {
 	if len(unit) == 1 {
 		i := unit[0]
-		out[i] = e.runOne(ctx, jobs[i], spares)
+		out[i] = e.runOne(ctx, jobs[i])
 		return
 	}
-	e.runBatchUnit(ctx, jobs, unit, out, spares)
+	e.runBatchUnit(ctx, jobs, unit, out)
 }
 
 // runBatchUnit resolves a multi-job unit through the lock-step kernel.
@@ -91,7 +91,7 @@ func (e *Engine) runUnit(ctx context.Context, jobs []Job, unit []int, out []JobR
 // rest run in one lock-step call. A batch-level error of any kind falls
 // back to running each remaining job through the scalar path, which
 // owns per-job retries, timeouts and status reporting.
-func (e *Engine) runBatchUnit(ctx context.Context, jobs []Job, unit []int, out []JobResult, spares llcSpares) {
+func (e *Engine) runBatchUnit(ctx context.Context, jobs []Job, unit []int, out []JobResult) {
 	start := time.Now()
 	pend := make([]int, 0, len(unit))
 	for _, i := range unit {
@@ -111,11 +111,11 @@ func (e *Engine) runBatchUnit(ctx context.Context, jobs []Job, unit []int, out [
 		// One miss left: the scalar path's singleflight is strictly
 		// better than a one-system batch.
 		i := pend[0]
-		out[i] = e.runOne(ctx, jobs[i], spares)
+		out[i] = e.runOne(ctx, jobs[i])
 		return
 	}
 	e.mInflight.Add(int64(len(pend)))
-	rs, err := e.batchAttempt(ctx, jobs, pend, spares)
+	rs, err := e.batchAttempt(ctx, jobs, pend)
 	e.mInflight.Add(-int64(len(pend)))
 	if err != nil {
 		e.batchFallback.Inc()
@@ -127,7 +127,7 @@ func (e *Engine) runBatchUnit(ctx context.Context, jobs []Job, unit []int, out [
 				shortKey(jobs[pend[0]].Key()), err)
 		}
 		for _, i := range pend {
-			out[i] = e.runOne(ctx, jobs[i], spares)
+			out[i] = e.runOne(ctx, jobs[i])
 		}
 		return
 	}
@@ -152,9 +152,8 @@ func (e *Engine) runBatchUnit(ctx context.Context, jobs []Job, unit []int, out [
 // hooks, panic containment and timeout. A failed attempt is not
 // retried here; the caller's scalar fallback then owns the jobs. The
 // injected-fault site is the first pending job's key, so chaos
-// schedules hit batch units deterministically. Each system takes its
-// LLC array from spares, and only a normal return lists them again.
-func (e *Engine) batchAttempt(ctx context.Context, jobs []Job, pend []int, spares llcSpares) ([][]core.Result, error) {
+// schedules hit batch units deterministically.
+func (e *Engine) batchAttempt(ctx context.Context, jobs []Job, pend []int) ([][]core.Result, error) {
 	for _, i := range pend {
 		if err := jobs[i].Validate(); err != nil {
 			return nil, err
@@ -166,16 +165,13 @@ func (e *Engine) batchAttempt(ctx context.Context, jobs []Job, pend []int, spare
 		return nil, err
 	}
 	e.executed.Add(uint64(len(pend)))
-	sps := make([]*core.LLCSpare, len(pend))
-	for k := range sps {
-		sps[k] = spares.take()
-	}
-	out, err := bounded(ctx, e, j0.Key(), func() ([][]core.Result, error) {
+	return bounded(ctx, e, j0.Key(), func() ([][]core.Result, error) {
 		cfgs := make([]config.SystemConfig, len(pend))
 		for k, i := range pend {
 			cfgs[k] = jobs[i].Config
 		}
-		flat, err := core.RunBatchReusing(ws[0].NewGen(), cfgs, j0.Insts, j0.Warmup, sps)
+		flat, reused, err := core.RunBatchReusing(ws[0].NewGen(), cfgs, j0.Insts, j0.Warmup)
+		e.llcReused.Add(uint64(reused))
 		if err != nil {
 			return nil, err
 		}
@@ -185,10 +181,4 @@ func (e *Engine) batchAttempt(ctx context.Context, jobs []Job, pend []int, spare
 		}
 		return out, nil
 	})
-	if err == nil {
-		for _, sp := range sps {
-			e.recycle(spares, sp)
-		}
-	}
-	return out, err
 }

@@ -91,10 +91,9 @@ const batchSize = 8
 // worker count.
 type Engine struct {
 	opts Options
-	// simulate is the job executor, building the job's system over
-	// the spare's LLC array when it is given one; tests substitute it
-	// to count or delay executions.
-	simulate func(*Job, *core.LLCSpare) ([]core.Result, error)
+	// simulate is the job executor; tests substitute it to count or
+	// delay executions.
+	simulate func(*Job) ([]core.Result, error)
 	// sampleRun resolves one stamped job through the planner; tests
 	// substitute it to force sampling failures.
 	sampleRun func(*Job) ([]core.Result, error)
@@ -147,7 +146,7 @@ func New(opts Options) *Engine {
 		e.sampler = sample.NewPlanner(nil, nil)
 	}
 	e.sampleRun = e.runSampled
-	e.simulate = func(j *Job, sp *core.LLCSpare) ([]core.Result, error) {
+	e.simulate = func(j *Job) ([]core.Result, error) {
 		if j.Sample != nil && e.sampler != nil {
 			rs, err := e.sampleRun(j)
 			if err == nil {
@@ -157,7 +156,11 @@ func New(opts Options) *Engine {
 			e.sampleFallback.Inc()
 			e.logf("runner: sampled job %s fell back to full simulation: %v", shortKey(j.Key()), err)
 		}
-		return j.execute(sp)
+		rs, reused, err := j.execute()
+		if reused {
+			e.llcReused.Inc()
+		}
+		return rs, err
 	}
 	if r := opts.Metrics; r != nil {
 		e.mInflight = r.Gauge("catch_engine_jobs_inflight",
@@ -189,7 +192,7 @@ func New(opts Options) *Engine {
 			"Sampled jobs that fell back to full simulation after a sampling failure.",
 			func() float64 { return float64(e.sampleFallback.Value()) })
 		r.CounterFunc("catch_engine_llc_reused_total",
-			"Systems whose LLC line array was reused from an earlier job of the same Run.",
+			"Job systems built over a pooled LLC line array that an earlier system released.",
 			func() float64 { return float64(e.llcReused.Value()) })
 	}
 	return e
@@ -242,16 +245,6 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) []JobResult {
 	// path, (workload, insts, warmup) groups when batching is on.
 	units := e.planUnits(jobs)
 	workers := min(e.opts.Workers, len(units))
-	var spares llcSpares
-	if len(units) > 1 {
-		// Room for every array the Run can hold at once: one per system
-		// a worker runs, and a batch unit runs up to batchSize.
-		n := workers
-		if e.opts.Batch {
-			n *= batchSize
-		}
-		spares = make(llcSpares, n)
-	}
 	feedCh := make(chan []int)
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -259,7 +252,7 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) []JobResult {
 		go func() {
 			defer wg.Done()
 			for unit := range feedCh {
-				e.runUnit(ctx, jobs, unit, out, spares)
+				e.runUnit(ctx, jobs, unit, out)
 			}
 		}()
 	}
@@ -308,54 +301,15 @@ func (e *Engine) cacheGetCounted(key string) ([]core.Result, bool) {
 	return e.opts.Cache.GetCounted(key)
 }
 
-// llcSpares is the bounded list of LLC line arrays one Engine.Run
-// hands from a finished job's system to the next one built (see
-// core.LLCSpare). Run makes it and drops it when it returns, so the
-// list keeps no array alive after the Run; one held by the engine kept
-// arrays alive between catchd requests and raised serve's peak RSS.
-// Only Run's workers take and put: a simulation sees only its own
-// spare, and an attempt abandoned on timeout or one that panicked
-// never puts its spare back. A nil list, a one-unit Run's, hands out
-// no spares.
-type llcSpares chan *core.LLCSpare
-
-// take returns a spare for the next system: a listed one, an empty one
-// that will keep the array its system allocates, or nil from a nil
-// list.
-func (l llcSpares) take() *core.LLCSpare {
-	if l == nil {
-		return nil
-	}
-	select {
-	case sp := <-l:
-		return sp
-	default:
-		return new(core.LLCSpare)
-	}
-}
-
-// recycle lists a spare whose run has returned normally, counting the
-// array reuses its run made; a full list drops it.
-func (e *Engine) recycle(l llcSpares, sp *core.LLCSpare) {
-	if sp == nil {
-		return
-	}
-	e.llcReused.Add(sp.TakeReuses())
-	select {
-	case l <- sp:
-	default:
-	}
-}
-
 // runOne resolves a single job through the cache (when present) with
 // timeout and retry handling around the actual simulation.
-func (e *Engine) runOne(ctx context.Context, j Job, spares llcSpares) JobResult {
+func (e *Engine) runOne(ctx context.Context, j Job) JobResult {
 	start := time.Now()
 	e.mInflight.Add(1)
 	defer e.mInflight.Add(-1)
 	key := j.Key()
 	jr := JobResult{Job: j, Key: key}
-	compute := func() ([]core.Result, error) { return e.attempts(ctx, &j, key, &jr, spares) }
+	compute := func() ([]core.Result, error) { return e.attempts(ctx, &j, key, &jr) }
 
 	var rs []core.Result
 	var err error
@@ -390,7 +344,7 @@ func (e *Engine) runOne(ctx context.Context, j Job, spares llcSpares) JobResult 
 // Permanent errors and context cancellation stop the retry loop early;
 // the first panic's stack is captured into jr and logged exactly once
 // per job, however many attempts panic.
-func (e *Engine) attempts(ctx context.Context, j *Job, site string, jr *JobResult, spares llcSpares) ([]core.Result, error) {
+func (e *Engine) attempts(ctx context.Context, j *Job, site string, jr *JobResult) ([]core.Result, error) {
 	if err := j.Validate(); err != nil {
 		return nil, err // structural errors do not retry
 	}
@@ -411,7 +365,7 @@ func (e *Engine) attempts(ctx context.Context, j *Job, site string, jr *JobResul
 			}
 			e.mRetried.Inc()
 		}
-		rs, err := e.attempt(ctx, j, site, spares)
+		rs, err := e.attempt(ctx, j, site)
 		if err == nil {
 			return rs, nil
 		}
@@ -429,17 +383,10 @@ func (e *Engine) attempts(ctx context.Context, j *Job, site string, jr *JobResul
 	return nil, last
 }
 
-// attempt runs one bounded execution of j's simulation on a spare
-// from spares, listing the spare again only if the run returned
-// normally.
-func (e *Engine) attempt(ctx context.Context, j *Job, site string, spares llcSpares) ([]core.Result, error) {
+// attempt runs one bounded execution of j's simulation.
+func (e *Engine) attempt(ctx context.Context, j *Job, site string) ([]core.Result, error) {
 	e.executed.Inc()
-	sp := spares.take()
-	rs, err := bounded(ctx, e, site, func() ([]core.Result, error) { return e.simulate(j, sp) })
-	if err == nil {
-		e.recycle(spares, sp)
-	}
-	return rs, err
+	return bounded(ctx, e, site, func() ([]core.Result, error) { return e.simulate(j) })
 }
 
 // bounded runs run once under the engine's fault hooks for site, panic
@@ -550,8 +497,8 @@ func (e *Engine) Batched() uint64 { return e.batched.Value() }
 // per-job execution after a batch-level error.
 func (e *Engine) BatchFallbacks() uint64 { return e.batchFallback.Value() }
 
-// LLCReused returns how many systems were built over an LLC line array
-// an earlier job of the same Run had finished with.
+// LLCReused returns how many of the engine's job systems were built
+// over a pooled LLC line array that an earlier system had released.
 func (e *Engine) LLCReused() uint64 { return e.llcReused.Value() }
 
 // FirstError returns the first failed job's error, or nil.

@@ -5,6 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -102,7 +105,7 @@ func TestTimeoutAndRetries(t *testing.T) {
 	e := New(Options{Workers: 1, Timeout: 10 * time.Millisecond, Retries: 2})
 	var calls atomic.Int32
 	block := make(chan struct{})
-	e.simulate = func(*Job, *core.LLCSpare) ([]core.Result, error) {
+	e.simulate = func(*Job) ([]core.Result, error) {
 		calls.Add(1)
 		<-block
 		return []core.Result{{}}, nil
@@ -123,7 +126,7 @@ func TestTimeoutAndRetries(t *testing.T) {
 func TestRetrySucceedsAfterTransientFailure(t *testing.T) {
 	e := New(Options{Workers: 1, Retries: 1})
 	var calls int
-	e.simulate = func(*Job, *core.LLCSpare) ([]core.Result, error) {
+	e.simulate = func(*Job) ([]core.Result, error) {
 		calls++
 		if calls == 1 {
 			return nil, errors.New("transient")
@@ -179,7 +182,7 @@ func TestEngineMetricsCountRetriesAndFailures(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	e := New(Options{Workers: 1, Retries: 1, Metrics: reg})
 	var tries atomic.Int32
-	e.simulate = func(j *Job, _ *core.LLCSpare) ([]core.Result, error) {
+	e.simulate = func(j *Job) ([]core.Result, error) {
 		if j.Workloads[0] == "mcf" && tries.Add(1) == 1 {
 			return nil, errors.New("transient")
 		}
@@ -275,12 +278,12 @@ func TestCancelMidSweepMarksCanceledAndResumeCompletes(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	ran := 0
 	inner := e1.simulate
-	e1.simulate = func(j *Job, sp *core.LLCSpare) ([]core.Result, error) {
+	e1.simulate = func(j *Job) ([]core.Result, error) {
 		ran++
 		if ran == 2 {
 			cancel() // interrupt after the second job starts
 		}
-		return inner(j, sp)
+		return inner(j)
 	}
 	first := e1.Run(ctx, jobs)
 
@@ -329,12 +332,12 @@ func TestDrainStopsFeedingAndMarksCanceled(t *testing.T) {
 	e := New(Options{Workers: 1})
 	inner := e.simulate
 	first := true
-	e.simulate = func(j *Job, sp *core.LLCSpare) ([]core.Result, error) {
+	e.simulate = func(j *Job) ([]core.Result, error) {
 		if first { // drain mid-flight, from inside the first running job
 			first = false
 			e.Drain()
 		}
-		return inner(j, sp)
+		return inner(j)
 	}
 	rs := e.Run(context.Background(), jobs)
 	if !e.Draining() {
@@ -367,7 +370,7 @@ func TestPanicCapturesStackAndLogsOnce(t *testing.T) {
 			logs = append(logs, strings.Split(strings.TrimSpace(format), "\n")[0])
 		},
 	})
-	e.simulate = func(*Job, *core.LLCSpare) ([]core.Result, error) { panic("boom at cycle 42") }
+	e.simulate = func(*Job) ([]core.Result, error) { panic("boom at cycle 42") }
 	rs := e.Run(context.Background(), []Job{STJob(config.BaselineExclusive(), "hmmer", tInsts, tWarmup)})
 	if rs[0].Status != StatusFailed || !strings.Contains(rs[0].Err, "job panicked: boom at cycle 42") {
 		t.Fatalf("result = %+v", rs[0])
@@ -381,12 +384,14 @@ func TestPanicCapturesStackAndLogsOnce(t *testing.T) {
 	}
 }
 
-// TestRunReusesLLCArrays pins the scope of LLC array reuse. An N-job
-// Run on W workers builds at most W arrays, so it reuses at least N-W
-// (the jobs run largest LLC first, so every spare fits); a batch Run
-// hands a finished unit's arrays to the next unit; a one-job Run, such
-// as every catchd /v1/run, makes no spare list and so reuses nothing,
-// however often it repeats. Every result equals a fresh system's.
+// TestRunReusesLLCArrays pins the scope of LLC array reuse through the
+// process-wide pool. An N-job Run on W workers holds at most W arrays
+// at once, so it reuses at least N-W (the jobs run largest LLC first,
+// and the reference runs left an array every job fits); a batch Run
+// hands a finished unit's arrays to the next unit; and one-job Runs,
+// as every catchd /v1/run is, reuse the array the Run before released,
+// which catch_engine_llc_reused_total counts. Every result equals
+// Job.Execute's.
 func TestRunReusesLLCArrays(t *testing.T) {
 	jobs := testJobs()
 	slices.Reverse(jobs) // the 6.5 MB noL2 LLC first, then the 5.5 MB baseline's
@@ -413,7 +418,8 @@ func TestRunReusesLLCArrays(t *testing.T) {
 	}
 
 	// Two batch units of three configs sharing one LLC geometry: the
-	// second reuses all three of the first's arrays.
+	// second reuses all three of the first's arrays, and the first may
+	// reuse arrays the Runs above released.
 	base := config.BaselineExclusive()
 	cfgs := []config.SystemConfig{base, config.WithCATCH(base, "catch"), config.WithLatencyDelta(base, cache.HitLLC, 6, "llc+6")}
 	var batch []Job
@@ -424,23 +430,32 @@ func TestRunReusesLLCArrays(t *testing.T) {
 	}
 	e := New(Options{Workers: 1, Batch: true})
 	e.Run(context.Background(), batch)
-	if e.Batched() != uint64(len(batch)) || e.LLCReused() != uint64(len(cfgs)) {
-		t.Errorf("batch Run: %d jobs batched, %d LLC arrays reused; want %d and %d", e.Batched(), e.LLCReused(), len(batch), len(cfgs))
+	if n := e.LLCReused(); e.Batched() != uint64(len(batch)) || n < uint64(len(cfgs)) || n > uint64(len(batch)) {
+		t.Errorf("batch Run: %d jobs batched, %d LLC arrays reused; want %d and %d to %d", e.Batched(), n, len(batch), len(cfgs), len(batch))
 	}
 
-	e = New(Options{Workers: 2, Batch: true})
-	inner := e.simulate
-	var spared atomic.Int32
-	e.simulate = func(j *Job, sp *core.LLCSpare) ([]core.Result, error) {
-		if sp != nil {
-			spared.Add(1)
+	// N /v1/runs of distinct jobs: every one after the first reuses the
+	// array the one before released.
+	reg := telemetry.NewRegistry()
+	e = New(Options{Workers: 2, Cache: NewCache(""), Metrics: reg})
+	ts := httptest.NewServer((&Server{Engine: e, Resolve: testResolve, Metrics: reg}).Handler())
+	defer ts.Close()
+	names := []string{"hmmer", "mcf", "tpcc"}
+	var first uint64
+	for i, name := range names {
+		req := RunRequest{Config: "baseline-excl", Workload: name, Insts: tInsts, Warmup: tWarmup}
+		if resp, raw := postJSON(t, ts.URL+"/v1/run", req); resp.StatusCode != http.StatusOK {
+			t.Fatalf("run %s: %d %s", name, resp.StatusCode, raw)
 		}
-		return inner(j, sp)
+		if i == 0 {
+			first = e.LLCReused()
+		}
 	}
-	for i := 0; i < 3; i++ {
-		e.Run(context.Background(), jobs[i:i+1])
+	if n, want := e.LLCReused()-first, uint64(len(names)-1); n != want {
+		t.Errorf("%d one-job Runs after the first reused %d LLC arrays, want %d", len(names)-1, n, want)
 	}
-	if n, m := spared.Load(), e.LLCReused(); n != 0 || m != 0 {
-		t.Errorf("one-job Runs handed %d spares out and reused %d LLC arrays, want 0 and 0", n, m)
+	_, raw := getURL(t, ts.URL+"/metrics")
+	if want := fmt.Sprintf("catch_engine_llc_reused_total %d\n", e.LLCReused()); !strings.Contains(string(raw), want) {
+		t.Errorf("exposition lacks %q", want)
 	}
 }

@@ -148,16 +148,21 @@ type PanicError struct {
 
 func (e *PanicError) Error() string { return fmt.Sprintf("job panicked: %v", e.Value) }
 
-// Execute runs the job on a fresh private core.System and returns one
-// Result per workload. A fresh system per job keeps results
-// deterministic (no warm state leaks between jobs) and keeps the
+// Execute runs the job on a private core.System and returns one Result
+// per workload. A system per job keeps results deterministic (no warm
+// state leaks between jobs; a pooled LLC array starts the job in
+// exactly the state a fresh one would) and keeps the
 // non-goroutine-safe System private to the calling worker.
-func (j *Job) Execute() ([]core.Result, error) { return j.execute(nil) }
+func (j *Job) Execute() ([]core.Result, error) {
+	rs, _, err := j.execute()
+	return rs, err
+}
 
-// execute is Execute with the system's LLC built over sp's array (see
-// core.NewSystemReusing); a reused array starts the job in exactly the
-// state a fresh one would.
-func (j *Job) execute(sp *core.LLCSpare) (rs []core.Result, err error) {
+// execute is Execute, also reporting whether the system's LLC reused a
+// pooled array. The system goes back to the pool only when its run
+// returns normally: a panicked run's system is dropped, and an
+// abandoned attempt's goroutine releases its own once it finishes.
+func (j *Job) execute() (rs []core.Result, reused bool, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			rs, err = nil, &PanicError{Value: p, Stack: debug.Stack()}
@@ -165,17 +170,21 @@ func (j *Job) execute(sp *core.LLCSpare) (rs []core.Result, err error) {
 	}()
 	gens, err := j.gens()
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	cfg := j.Config
 	if len(gens) > 1 && cfg.Cores < len(gens) {
 		cfg.Cores = len(gens)
 	}
-	sys := core.NewSystemReusing(cfg, sp)
+	sys := core.NewSystem(cfg)
+	reused = sys.LLC.Reused()
 	if len(gens) == 1 {
-		return []core.Result{sys.RunST(gens[0], j.Insts, j.Warmup)}, nil
+		rs = []core.Result{sys.RunST(gens[0], j.Insts, j.Warmup)}
+	} else {
+		rs = sys.RunMP(gens, j.Insts, j.Warmup)
 	}
-	return sys.RunMP(gens, j.Insts, j.Warmup), nil
+	sys.Release()
+	return rs, reused, nil
 }
 
 // Grid is a (config × workload) experiment sweep.

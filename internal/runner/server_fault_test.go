@@ -23,7 +23,7 @@ func TestShedWhenSaturated(t *testing.T) {
 	e := New(Options{Workers: 1, Cache: NewCache(""), Metrics: reg})
 	block := make(chan struct{})
 	started := make(chan struct{}, 4)
-	e.simulate = func(j *Job, _ *core.LLCSpare) ([]core.Result, error) {
+	e.simulate = func(j *Job) ([]core.Result, error) {
 		started <- struct{}{}
 		<-block
 		return []core.Result{{Workload: j.Workloads[0]}}, nil
@@ -122,7 +122,7 @@ func TestDrainEndpoint(t *testing.T) {
 // clients can tell "retry this" from "this is broken".
 func TestRequestTimeoutMapsCanceledRunTo504(t *testing.T) {
 	e := New(Options{Workers: 1, Cache: NewCache("")})
-	e.simulate = func(j *Job, _ *core.LLCSpare) ([]core.Result, error) {
+	e.simulate = func(j *Job) ([]core.Result, error) {
 		time.Sleep(300 * time.Millisecond)
 		return []core.Result{{Workload: j.Workloads[0]}}, nil
 	}

@@ -203,7 +203,7 @@ func TestRunEndpointRejectsMoreWorkloadsThanRingStops(t *testing.T) {
 func TestRunCoalescesDuplicateConcurrentRequests(t *testing.T) {
 	e := New(Options{Workers: 4, Cache: NewCache("")})
 	var sims atomic.Int32
-	e.simulate = func(j *Job, _ *core.LLCSpare) ([]core.Result, error) {
+	e.simulate = func(j *Job) ([]core.Result, error) {
 		sims.Add(1)
 		time.Sleep(100 * time.Millisecond) // hold the flight open so requests overlap
 		return []core.Result{{Workload: j.Workloads[0], Config: j.Config.Name, IPC: 1}}, nil
@@ -376,7 +376,7 @@ func TestSweepRejectsRepeatedAndUnknownNames(t *testing.T) {
 // exactly the cap is served.
 func TestRequestBodyCap(t *testing.T) {
 	e := New(Options{Workers: 1, Cache: NewCache("")})
-	e.simulate = func(j *Job, _ *core.LLCSpare) ([]core.Result, error) {
+	e.simulate = func(j *Job) ([]core.Result, error) {
 		return []core.Result{{Workload: j.Workloads[0], IPC: 1}}, nil
 	}
 	ts := newTestServer(e)
@@ -417,7 +417,7 @@ func TestRequestBodyCap(t *testing.T) {
 func TestConcurrencyLimiterBounds(t *testing.T) {
 	e := New(Options{Workers: 1, Cache: NewCache("")})
 	var inflight, peak atomic.Int32
-	e.simulate = func(j *Job, _ *core.LLCSpare) ([]core.Result, error) {
+	e.simulate = func(j *Job) ([]core.Result, error) {
 		cur := inflight.Add(1)
 		defer inflight.Add(-1)
 		for {

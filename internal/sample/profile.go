@@ -72,6 +72,7 @@ func ProfileWorkload(m *trace.Materialized, insts, warmup, interval int64) (*Pro
 		featurize(&r, v)
 		features[i] = v
 	}
+	sys.Release()
 	return &Profile{Workload: m.Name(), Interval: interval, Features: features}, nil
 }
 

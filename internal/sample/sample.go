@@ -150,6 +150,7 @@ func (p *Planner) Run(cfg config.SystemConfig, w *trace.Workload, insts, warmup 
 		perCluster[c] = sys.EndMeasureDelta(win, base)
 		pos = off + spec.Interval
 	}
+	sys.Release()
 
 	est := extrapolate(perCluster, cl, warmBase)
 	ipcErr, l1dErr, memErr := relErrors(prof, cl)

@@ -11,10 +11,17 @@ type Emitter struct {
 	RNG *RNG
 }
 
+// emitCap is an emitter's initial buffer capacity. The workload
+// generator empties the buffer before every kernel Emit call, and no
+// registered kernel emits more than 113 instructions per call
+// (TestEmitBufferNeverGrows walks every workload), so the buffer never
+// grows. One is built per generator, so once per job.
+const emitCap = 256
+
 // NewEmitter returns an emitter using the given RNG for synthetic
 // branch outcomes.
 func NewEmitter(rng *RNG) *Emitter {
-	return &Emitter{RNG: rng, Buf: make([]Inst, 0, 4096)}
+	return &Emitter{RNG: rng, Buf: make([]Inst, 0, emitCap)}
 }
 
 func (e *Emitter) emit(i Inst) { e.Buf = append(e.Buf, i) }

@@ -146,3 +146,39 @@ func TestMaterializeRejectsBadLength(t *testing.T) {
 		t.Fatal("Materialize(0) succeeded, want error")
 	}
 }
+
+// TestEmitBufferNeverGrows pins the emit buffer's size: walking every
+// registered workload, and every part of every multi-programmed mix,
+// no kernel Emit call outgrows the capacity NewEmitter gives the
+// buffer, so generating instructions never reallocates it.
+func TestEmitBufferNeverGrows(t *testing.T) {
+	const n = 300_000
+	type id struct {
+		name string
+		seed uint64
+	}
+	walked := make(map[id]bool) // a mix part that repeats a workload generates the same stream
+	walk := func(w *trace.Workload) {
+		t.Helper()
+		if walked[id{w.WName, w.Seed}] {
+			return
+		}
+		walked[id{w.WName, w.Seed}] = true
+		g := w.NewGen()
+		var in trace.Inst
+		for i := 0; i < n; i++ {
+			g.Next(&in)
+		}
+		if c := trace.EmitBufCap(g); c != trace.EmitCap {
+			t.Errorf("%s: emit buffer grew to %d instructions in %d, past its capacity %d", w.WName, c, n, trace.EmitCap)
+		}
+	}
+	for _, w := range workloads.All() {
+		walk(&w)
+	}
+	for _, m := range workloads.Mixes() {
+		for i := range m.Parts {
+			walk(&m.Parts[i])
+		}
+	}
+}

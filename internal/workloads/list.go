@@ -1,6 +1,10 @@
 package workloads
 
-import "catch/internal/trace"
+import (
+	"sync"
+
+	"catch/internal/trace"
+)
 
 // Categories used throughout the experiments (paper Table II).
 const (
@@ -101,13 +105,20 @@ func All() []trace.Workload {
 
 // ByName returns the workload with the given name, or false.
 func ByName(name string) (trace.Workload, bool) {
-	for _, w := range All() {
-		if w.WName == name {
-			return w, true
-		}
-	}
-	return trace.Workload{}, false
+	w, ok := byName()[name]
+	return w, ok
 }
+
+// byName indexes All by name, built once: every BuildFunc is a
+// stateless closure, so the index can hand out copies of its entries.
+var byName = sync.OnceValue(func() map[string]trace.Workload {
+	all := All()
+	m := make(map[string]trace.Workload, len(all))
+	for _, w := range all {
+		m[w.WName] = w
+	}
+	return m
+})
 
 // ByCategory groups the study list by category.
 func ByCategory() map[string][]trace.Workload {

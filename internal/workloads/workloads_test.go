@@ -73,9 +73,34 @@ func TestEveryWorkloadDeterministic(t *testing.T) {
 	}
 }
 
+// TestByName: every workload of All round-trips through ByName's
+// index (same name, category and seed, and the same instruction
+// stream), a caller's change to the copy it got leaves the index as
+// it was, and an unknown name misses.
 func TestByName(t *testing.T) {
-	if _, ok := ByName("mcf"); !ok {
-		t.Fatal("mcf missing")
+	var a, b trace.Inst
+	for _, w := range All() {
+		got, ok := ByName(w.WName)
+		if !ok {
+			t.Fatalf("%s missing", w.WName)
+		}
+		if got.WName != w.WName || got.WCategory != w.WCategory || got.Seed != w.Seed {
+			t.Fatalf("ByName(%q) = %s/%s seed %d, want %s/%s seed %d",
+				w.WName, got.WName, got.WCategory, got.Seed, w.WName, w.WCategory, w.Seed)
+		}
+		g1, g2 := w.NewGen(), got.NewGen()
+		for i := 0; i < 500; i++ {
+			g1.Next(&a)
+			g2.Next(&b)
+			if a != b {
+				t.Fatalf("%s: ByName's workload diverges from All's at instruction %d", w.WName, i)
+			}
+		}
+	}
+	got, _ := ByName("mcf")
+	got.Seed++
+	if again, _ := ByName("mcf"); again.Seed == got.Seed {
+		t.Fatal("changing a workload ByName returned changed its index")
 	}
 	if _, ok := ByName("not-a-workload"); ok {
 		t.Fatal("invented workload found")
